@@ -37,8 +37,8 @@ clippy:
 # proves the steady-state engine contract (zero heap allocations per
 # `step()` with recycled scratch) and the warm-planner bound (a warm
 # `plan_warm` call allocates no more than the cold `plan` it replaces).
-# Release mode is required: debug builds run the engine's self-checking
-# cross-validation paths, which allocate by design.
+# Release mode is required: debug builds run the engine's debug
+# assertions, some of which allocate by design.
 alloc-gate:
 	$(CARGO) test -q --release --test alloc_gate
 
@@ -135,15 +135,12 @@ fuzz-smoke: build
 	@rm -rf .fuzz-smoke
 	@echo "fuzz smoke gate passed"
 
-# Component-core smoke gate: every pinned zoo scenario must replay with
-# zero violations and its exact pinned digest under the component/
-# tick-heap core (the default engine loop; the oracle additionally
-# cross-checks each scenario against the legacy `while step()` loop
-# byte-for-byte), the zero-alloc steady-state contract must hold with the
-# engine driven through `SimCore`, and the two-GPU + interconnect
-# composition must run end-to-end with its metrics exported.
+# Component-core smoke gate: the component/tick-heap core (`SimCore`)
+# drives only compositions, so this gate runs what a composition runs:
+# the zero-alloc steady-state contract must hold with one `GpuComponent`
+# driven through `SimCore`, and the two-GPU + interconnect composition
+# must run end-to-end with each GPU bit-identical to its solo run.
 component-smoke: build
-	./target/release/mpshare-fuzz zoo configs/zoo
 	$(CARGO) test -q --release --test alloc_gate component_core_steady_state_is_alloc_free
 	$(CARGO) test -q --release --test component_core
 	@echo "component-core smoke gate passed"

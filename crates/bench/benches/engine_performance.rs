@@ -162,34 +162,6 @@ fn bench_engine_gap_heavy(c: &mut Criterion) {
             })
         },
     );
-    // The same workload with the incremental contention fast path disabled:
-    // the spread against `mps_clients/48` is the measured benefit of the
-    // single-join/leave re-solve on a churn-heavy resident set.
-    group.bench_with_input(
-        BenchmarkId::new("full_resolve", clients),
-        &clients,
-        |b, &clients| {
-            let programs: Vec<ClientProgram> = (0..clients)
-                .map(|i| gap_heavy_client(&device, i as u64, kernels_per_client))
-                .collect();
-            let config = EngineConfig::new(device.clone(), SharingMode::mps_uniform(clients))
-                .with_forced_full_resolve(true);
-            let mut roster = Some(ValidatedPrograms::new(&device, programs).unwrap());
-            let mut scratch = EngineScratch::new();
-            b.iter(|| {
-                let engine = Engine::new_prevalidated(
-                    config.clone(),
-                    roster.take().unwrap(),
-                    std::mem::take(&mut scratch),
-                )
-                .unwrap();
-                let (result, _stats, recycled_roster, recycled) = engine.run_recycling().unwrap();
-                roster = Some(recycled_roster);
-                scratch = recycled;
-                black_box(result.makespan);
-            })
-        },
-    );
     group.finish();
 }
 

@@ -16,12 +16,6 @@
 //!   instance logs on merge).
 //! * `energy-floor` — board energy ≥ idle power × covered time (non-MIG:
 //!   MIG instances integrate their own sliced idle draw).
-//! * `incremental-vs-full` — the run repeated with the incremental
-//!   contention re-solve disabled must be bit-identical (serialized
-//!   `RunResult` equality).
-//! * `component-vs-legacy` — the run repeated with the historical direct
-//!   `while step()` engine loop (instead of the component/tick-heap core
-//!   the runner uses by default) must be bit-identical.
 //! * `order` — the canonical completion sequence must be a pure function
 //!   of the completion records: seeded permutations of every per-client
 //!   completion list, re-indexed, and the unindexed fallback path must
@@ -170,10 +164,6 @@ fn build_fault_plan(sc: &EngineScenario) -> FaultPlan {
     plan
 }
 
-fn canonical_result(result: &RunResult) -> String {
-    serde_json::to_string(result).expect("RunResult serializes")
-}
-
 fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
     let device = build_device(sc);
     let programs = build_programs(sc, &device)?;
@@ -220,57 +210,6 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
                 ),
             ));
         }
-    }
-
-    // Incremental vs forced-full contention re-solve: bit-identical.
-    let full = runner
-        .clone()
-        .with_forced_full_resolve(true)
-        .run_with_faults(&sharing, programs.clone(), &faults)?;
-    let canon_inc = canonical_result(&result);
-    let canon_full = canonical_result(&full);
-    if canon_inc != canon_full {
-        let at = canon_inc
-            .bytes()
-            .zip(canon_full.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| canon_inc.len().min(canon_full.len()));
-        violations.push(Violation::new(
-            "incremental-vs-full",
-            format!(
-                "incremental and full-resolve results diverge at byte {at} \
-                 (lens {} vs {})",
-                canon_inc.len(),
-                canon_full.len()
-            ),
-        ));
-    }
-
-    // Component core vs the historical direct loop: the runner drives the
-    // engine through the component/tick-heap core by default, and the
-    // refactor promises to be observationally invisible. Forcing the
-    // legacy `while step()` loop must reproduce the run bit-identically.
-    let legacy = runner.clone().with_legacy_loop(true).run_with_faults(
-        &sharing,
-        programs.clone(),
-        &faults,
-    )?;
-    let canon_legacy = canonical_result(&legacy);
-    if canon_inc != canon_legacy {
-        let at = canon_inc
-            .bytes()
-            .zip(canon_legacy.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| canon_inc.len().min(canon_legacy.len()));
-        violations.push(Violation::new(
-            "component-vs-legacy",
-            format!(
-                "component-core and legacy-loop results diverge at byte {at} \
-                 (lens {} vs {})",
-                canon_inc.len(),
-                canon_legacy.len()
-            ),
-        ));
     }
 
     // Completion-order canonicalization: the `(at, client, task)` key is
@@ -369,9 +308,10 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
         }
     }
 
+    let canon = serde_json::to_string(&result).expect("RunResult serializes");
     let digest = format!(
         "{:016x}",
-        fnv1a64(format!("{canon_inc}|{attrib_canon}").as_bytes())
+        fnv1a64(format!("{canon}|{attrib_canon}").as_bytes())
     );
     Ok(OracleReport { violations, digest })
 }

@@ -1,11 +1,12 @@
 //! Component/event-heap simulation core.
 //!
-//! The engine's historical `run` loop was a bespoke single-GPU driver:
-//! nothing else — interconnects, CPU-side stages, fleet actors — had a
-//! place to plug in. This module generalizes the drive loop to the shape
-//! discrete-event simulators converge on: a set of [`Component`]s
-//! scheduled by a global min-heap ([`crate::heap::TickHeap`]) keyed by
-//! `(time, component_id)`.
+//! A lone engine runs its own `while step()` loop ([`Engine::run`]):
+//! nothing else — interconnects, CPU-side stages, fleet actors — has a
+//! place to plug in there. This module is the drive loop for
+//! compositions of several actors, in the shape discrete-event simulators
+//! converge on: a set of [`Component`]s scheduled by a global min-heap
+//! ([`crate::heap::TickHeap`]) keyed by `(time, component_id)`. Only
+//! [`Composition`] builds a [`SimCore`].
 //!
 //! ## The protocol
 //!
@@ -33,17 +34,18 @@
 //! contract is: a component may bypass the heap for any event that cannot
 //! affect another component before its own next tick. That keeps the
 //! steady-state hot loop allocation-free (`tests/alloc_gate.rs` drives a
-//! [`SimCore`] directly) and the heap depth O(components), not O(events).
+//! [`GpuComponent`] through a [`SimCore`] directly) and the heap depth
+//! O(components), not O(events).
 //!
 //! ## Bit-identity
 //!
-//! For a solo engine the core issues exactly the
-//! `next_tick`/`tick_to` sequence the historical `while step()` loop
-//! inlined, and the planned `dt` is stored engine-side rather than
-//! recomputed from the heap's absolute time (a `now + dt` → `t - now`
-//! float round-trip is not bit-identical). `tests/perf_equivalence.rs`
-//! pins legacy-vs-component `RunResult` equality across seeded scenarios;
-//! the zoo digests pin it for every checked-in scenario.
+//! A [`GpuComponent`] issues exactly the `next_tick`/`tick_to` sequence
+//! [`Engine::step`] inlines, and the planned `dt` is stored engine-side
+//! rather than recomputed from the heap's absolute time (a `now + dt` →
+//! `t - now` float round-trip is not bit-identical). So each GPU of a
+//! composition produces the `RunResult` of the same engine run alone;
+//! `solo_gpu_component_through_simcore_matches_step_loop` and the
+//! composition-vs-solo tests pin it.
 
 use crate::engine::{Engine, EngineStats, RunResult};
 use crate::heap::TickHeap;
@@ -90,23 +92,6 @@ pub trait Component {
     /// [`Component::next_tick`] again and re-arm it).
     fn deliver(&mut self, _msg: &Message, _now: f64) -> bool {
         false
-    }
-}
-
-/// The engine is the first (and for single-GPU runs, only) component:
-/// `next_tick` plans one event horizon, `tick` applies it.
-impl Component for Engine {
-    fn label(&self) -> &str {
-        "gpusim-engine"
-    }
-
-    fn next_tick(&mut self) -> Result<Option<f64>> {
-        Engine::next_tick(self)
-    }
-
-    fn tick(&mut self, now: f64) -> Result<()> {
-        self.note_component_tick();
-        self.tick_to(now)
     }
 }
 
@@ -406,6 +391,8 @@ pub struct GpuComponent {
     engine: Engine,
     link: usize,
     bytes_per_task: f64,
+    /// Heap ticks dispatched to this GPU.
+    ticks: u64,
     sent: usize,
     received_transfers: u64,
     received_bytes: f64,
@@ -419,21 +406,22 @@ impl GpuComponent {
             engine,
             link,
             bytes_per_task,
+            ticks: 0,
             sent: 0,
             received_transfers: 0,
             received_bytes: 0.0,
         }
     }
 
-    /// Finalizes the wrapped engine into a per-GPU outcome.
-    fn finish(self, heap_max_depth: u64) -> Result<GpuOutcome> {
-        let mut engine = self.engine;
-        engine.note_heap_max_depth(heap_max_depth);
-        let (result, stats) = engine.into_result()?;
+    /// Finalizes the wrapped engine into a per-GPU outcome. Errors if the
+    /// engine has not finished.
+    pub fn finish(self) -> Result<GpuOutcome> {
+        let (result, stats) = self.engine.into_result()?;
         Ok(GpuOutcome {
             label: self.label,
             result,
             stats,
+            ticks: self.ticks,
             sent_transfers: self.sent as u64,
             received_transfers: self.received_transfers,
             received_bytes: self.received_bytes,
@@ -451,7 +439,7 @@ impl Component for GpuComponent {
     }
 
     fn tick(&mut self, now: f64) -> Result<()> {
-        self.engine.note_component_tick();
+        self.ticks += 1;
         self.engine.tick_to(now)
     }
 
@@ -484,6 +472,8 @@ pub struct GpuOutcome {
     pub label: String,
     pub result: RunResult,
     pub stats: EngineStats,
+    /// Heap ticks dispatched to this GPU (one per engine event).
+    pub ticks: u64,
     /// Transfers this GPU shipped onto the link.
     pub sent_transfers: u64,
     /// Completion notifications forwarded to this GPU by the link.
@@ -564,7 +554,7 @@ impl Composition {
         let mut makespan = link.last_completion.value();
         let mut gpus = Vec::with_capacity(n);
         for g in self.gpus {
-            let outcome = g.finish(sim.max_heap_depth)?;
+            let outcome = g.finish()?;
             makespan = makespan.max(outcome.result.makespan.value());
             gpus.push(outcome);
         }
@@ -582,6 +572,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use crate::engine::{EngineConfig, SharingMode};
+    use crate::fault::FaultPlan;
     use crate::kernel::{KernelSpec, LaunchConfig};
     use crate::program::{ClientProgram, TaskProgram};
     use mpshare_types::{Fraction, MemBytes, TaskId};
@@ -626,50 +617,60 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn solo_engine_through_simcore_matches_legacy_loop() {
-        let legacy = {
-            let programs: Vec<ClientProgram> = (0..3)
-                .map(|i| client(&format!("c{i}"), i as u64, 2))
-                .collect();
-            Engine::new(
-                EngineConfig::new(dev(), SharingMode::mps_uniform(3)).with_legacy_loop(true),
-                programs,
-            )
-            .unwrap()
-            .run()
-            .unwrap()
-        };
-        let component = engine(3).run().unwrap();
+    /// Drives `engine` as the only component of a [`SimCore`], shipping
+    /// nothing (`bytes_per_task` 0, so the link id is never addressed).
+    fn run_through_simcore(engine: Engine) -> RunResult {
+        let mut gpu = GpuComponent::new(0, "gpu0".to_string(), engine, 1, 0.0);
+        let mut core = SimCore::new(1);
+        {
+            let mut comps: [&mut dyn Component; 1] = [&mut gpu];
+            core.run(&mut comps).unwrap();
+        }
+        assert_eq!(core.stats().max_heap_depth, 1, "one component, one entry");
+        let outcome = gpu.finish().unwrap();
         assert_eq!(
-            serde_json::to_string(&component).unwrap(),
-            serde_json::to_string(&legacy).unwrap(),
-            "component core must be bit-identical to the legacy loop"
+            outcome.ticks, outcome.stats.events,
+            "a lone GPU gets exactly one heap tick per engine event"
         );
+        assert_eq!(outcome.ticks, core.stats().ticks);
+        outcome.result
     }
 
     #[test]
-    fn solo_engine_stats_expose_ticks_and_depth() {
-        let (result, stats) = engine(2).run_with_stats().unwrap();
-        assert!(result.tasks_completed > 0);
-        assert_eq!(
-            stats.ticks, stats.events,
-            "a solo engine gets exactly one heap tick per event"
-        );
-        assert_eq!(stats.heap_max_depth, 1, "one component, one live entry");
-
-        let programs: Vec<ClientProgram> = (0..2)
-            .map(|i| client(&format!("c{i}"), i as u64, 2))
-            .collect();
-        let (_, legacy_stats) = Engine::new(
-            EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_legacy_loop(true),
-            programs,
-        )
-        .unwrap()
-        .run_with_stats()
-        .unwrap();
-        assert_eq!(legacy_stats.ticks, 0, "legacy loop never touches the heap");
-        assert_eq!(legacy_stats.heap_max_depth, 0);
+    fn solo_gpu_component_through_simcore_matches_step_loop() {
+        let programs = || -> Vec<ClientProgram> {
+            (0..3)
+                .map(|i| client(&format!("c{i}"), i as u64, 2))
+                .collect()
+        };
+        let horizons: Vec<Seconds> = programs().iter().map(|p| p.solo_wall_time()).collect();
+        let faults = FaultPlan::seeded(5, &horizons, 0.5).unwrap();
+        let cases = [
+            (
+                "mps with a seeded client fault",
+                EngineConfig::new(dev(), SharingMode::mps_uniform(3)).with_fault_plan(faults),
+            ),
+            (
+                "time-sliced",
+                EngineConfig::new(dev(), SharingMode::timesliced_default()),
+            ),
+            ("streams", EngineConfig::new(dev(), SharingMode::Streams)),
+        ];
+        for (name, config) in cases {
+            let stepped = Engine::new(config.clone(), programs())
+                .unwrap()
+                .run()
+                .unwrap();
+            let composed = run_through_simcore(Engine::new(config, programs()).unwrap());
+            assert_eq!(
+                serde_json::to_string(&composed).unwrap(),
+                serde_json::to_string(&stepped).unwrap(),
+                "{name}: the composition driver must be bit-identical to the step loop"
+            );
+            if name.starts_with("mps") {
+                assert!(!stepped.failures.is_empty(), "the seeded fault must fire");
+            }
+        }
     }
 
     #[test]
@@ -727,7 +728,7 @@ mod tests {
         assert!(outcome.sim.ticks > 0);
         assert!(outcome.sim.max_heap_depth >= 2);
         assert!(outcome.sim.max_heap_depth <= 3);
-        assert!(outcome.gpus.iter().all(|g| g.stats.ticks > 0));
+        assert!(outcome.gpus.iter().all(|g| g.ticks > 0));
         assert_eq!(
             outcome.sim.messages,
             2 * total_tasks as u64,

@@ -88,18 +88,6 @@ pub struct EngineConfig {
     /// Faults to inject (empty by default: with no plan installed, every
     /// code path behaves exactly as before).
     pub faults: FaultPlan,
-    /// Testing/benchmark hook: disable the incremental contention solver
-    /// and re-solve every resident-set change from scratch. Results are
-    /// bit-identical either way (that is the incremental solver's
-    /// contract); this exists so equivalence tests and the
-    /// incremental-vs-full bench pair can exercise both paths.
-    pub force_full_resolve: bool,
-    /// Testing/equivalence hook: drive the run with the historical direct
-    /// `while step()` loop instead of the component core (see
-    /// [`crate::component`]). Results are bit-identical either way — the
-    /// component core issues the exact same `next_tick`/`tick_to` sequence
-    /// through the global heap — and `tests/perf_equivalence.rs` pins that.
-    pub legacy_loop: bool,
 }
 
 impl EngineConfig {
@@ -111,8 +99,6 @@ impl EngineConfig {
             max_events: 50_000_000,
             record_events: false,
             faults: FaultPlan::default(),
-            force_full_resolve: false,
-            legacy_loop: false,
         }
     }
 
@@ -128,18 +114,6 @@ impl EngineConfig {
 
     pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// See [`EngineConfig::force_full_resolve`].
-    pub fn with_forced_full_resolve(mut self, force: bool) -> Self {
-        self.force_full_resolve = force;
-        self
-    }
-
-    /// See [`EngineConfig::legacy_loop`].
-    pub fn with_legacy_loop(mut self, legacy: bool) -> Self {
-        self.legacy_loop = legacy;
         self
     }
 }
@@ -558,12 +532,6 @@ pub struct Engine {
     seq_head: usize,
     /// Static arrival events, sorted by (time, client).
     arrivals: MonotoneEventQueue,
-    /// Resident-set change since the last solve, for the incremental
-    /// solver. Anything beyond a single join/leave degrades to `Invalid`
-    /// (full re-solve).
-    delta: SolveDelta,
-    incremental_solves: u64,
-    full_solves: u64,
     max_queue_depth: u64,
     /// Time step planned by the last [`Engine::next_tick`], consumed by the
     /// matching [`Engine::tick_to`]. Stored rather than recomputed from the
@@ -574,24 +542,6 @@ pub struct Engine {
     /// Whether the planned horizon is a time-slice quantum expiry (set by
     /// the plan, consumed by the apply's end-of-step rotation).
     planned_quantum_event: bool,
-    /// Component-core counters (zero under the legacy direct loop): global
-    /// heap ticks dispatched to this engine and the max heap depth seen.
-    component_ticks: u64,
-    heap_max_depth: u64,
-}
-
-/// Accumulated resident-set membership change between rate solves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SolveDelta {
-    /// No membership change recorded (the cache is fresh).
-    None,
-    /// Exactly one client joined the scheduled set.
-    Join(usize),
-    /// Exactly one client left the scheduled set.
-    Leave(usize),
-    /// Multiple or structural changes (time-slice rotations, drain state):
-    /// only a full solve is safe.
-    Invalid,
 }
 
 /// Hot-path counters from one engine run (see [`Engine::run_with_stats`]).
@@ -599,16 +549,8 @@ enum SolveDelta {
 pub struct EngineStats {
     /// Discrete events processed (calls to the time-advancement step).
     pub events: u64,
-    /// Contention/power re-solves performed
-    /// (`incremental_solves + full_solves`).
+    /// Contention/power re-solves performed.
     pub rate_solves: u64,
-    /// Re-solves satisfied by the incremental single-join/leave fast path
-    /// (see [`crate::contention::ContentionSolver::solve_prepared_join_into`]).
-    pub incremental_solves: u64,
-    /// Re-solves that ran the full pipeline (first solve, multi-client
-    /// deltas, time-slice rotations, fast-path bailouts, or
-    /// [`EngineConfig::force_full_resolve`]).
-    pub full_solves: u64,
     /// Resident-set epoch transitions (kernel starts/finishes, context
     /// switches). The cache guarantees `rate_solves <= resident_changes`:
     /// events that only advance time reuse the previous solution.
@@ -616,12 +558,6 @@ pub struct EngineStats {
     /// Maximum indexed event-queue depth observed across the run: running
     /// kernels + armed host timers + undelivered arrivals + pending faults.
     pub max_queue_depth: u64,
-    /// Global-heap ticks dispatched to this engine by the component core
-    /// (zero when the run used [`EngineConfig::legacy_loop`]).
-    pub ticks: u64,
-    /// Maximum global tick-heap depth observed while this engine ran under
-    /// the component core (1 for a solo engine; more in compositions).
-    pub heap_max_depth: u64,
 }
 
 impl Engine {
@@ -775,9 +711,6 @@ impl Engine {
         prepared_scratch.reserve(n);
         allocations_scratch.clear();
         allocations_scratch.reserve(n);
-        // A recycled scratch must not let this engine's first solve extend
-        // the previous run's prefix sums.
-        solve_scratch.invalidate();
         solve_scratch.reserve(n);
         Ok(Engine {
             config,
@@ -821,14 +754,9 @@ impl Engine {
             terminated_count: 0,
             seq_head: 0,
             arrivals,
-            delta: SolveDelta::None,
-            incremental_solves: 0,
-            full_solves: 0,
             max_queue_depth: 0,
             planned_dt: f64::NAN,
             planned_quantum_event: false,
-            component_ticks: 0,
-            heap_max_depth: 0,
         })
     }
 
@@ -838,34 +766,10 @@ impl Engine {
     }
 
     /// Marks the resident kernel set (or the GPU's drain state during a
-    /// context switch) as changed — the next [`Engine::advance`] must
-    /// re-solve rates and power — and folds the membership change into the
-    /// pending [`SolveDelta`] for the incremental solver.
-    fn note_delta(&mut self, change: SolveDelta) {
+    /// context switch) as changed: the next [`Engine::next_tick`] must
+    /// re-solve rates and power.
+    fn bump_epoch(&mut self) {
         self.resident_epoch += 1;
-        self.delta = match self.delta {
-            SolveDelta::None => change,
-            _ => SolveDelta::Invalid,
-        };
-    }
-
-    /// Client `i`'s kernel landed on the GPU. In time-sliced mode kernel
-    /// starts do not imply scheduling (the `active` pointer decides), so
-    /// the delta degrades to `Invalid` there via `try_incremental_*`'s
-    /// mode check; recording `Join` is still correct because those paths
-    /// refuse it.
-    fn bump_epoch_join(&mut self, i: usize) {
-        self.note_delta(SolveDelta::Join(i));
-    }
-
-    /// Client `i`'s kernel left the GPU.
-    fn bump_epoch_leave(&mut self, i: usize) {
-        self.note_delta(SolveDelta::Leave(i));
-    }
-
-    /// Structural change (time-slice rotation / drain): full solve only.
-    fn bump_epoch_invalidate(&mut self) {
-        self.note_delta(SolveDelta::Invalid);
     }
 
     /// Re-arms transition processing for client `i` (idempotent per pass).
@@ -956,22 +860,11 @@ impl Engine {
     /// Like [`Engine::run`], but also returns the hot-path counters —
     /// useful for asserting that the rate cache actually skips re-solves.
     ///
-    /// By default the run is driven through the component core (the engine
-    /// as the sole [`crate::component::Component`] on the global tick
-    /// heap); [`EngineConfig::legacy_loop`] selects the historical direct
-    /// `while step()` loop instead. Both produce bit-identical results —
-    /// pinned by `tests/perf_equivalence.rs`.
+    /// A lone engine is driven by [`Engine::step`] in a loop; the global
+    /// tick heap ([`crate::component::SimCore`]) is only for compositions
+    /// of several components.
     pub fn run_with_stats(mut self) -> Result<(RunResult, EngineStats)> {
-        if self.config.legacy_loop {
-            while self.step()? {}
-        } else {
-            let mut core = crate::component::SimCore::new(1);
-            {
-                let mut comps: [&mut dyn crate::component::Component; 1] = [&mut self];
-                core.run(&mut comps)?;
-            }
-            self.note_heap_max_depth(core.stats().max_heap_depth);
-        }
+        while self.step()? {}
         Ok(self.build_result())
     }
 
@@ -1100,18 +993,6 @@ impl Engine {
         self.apply_advance(dt)
     }
 
-    /// Count of heap ticks dispatched to this engine when driven through
-    /// the component core (zero under the legacy direct loop).
-    pub fn note_component_tick(&mut self) {
-        self.component_ticks += 1;
-    }
-
-    /// Folds an observed global-heap depth into the run's stats (called by
-    /// whoever drives the engine through a [`crate::component::SimCore`]).
-    pub fn note_heap_max_depth(&mut self, depth: u64) {
-        self.heap_max_depth = self.heap_max_depth.max(depth);
-    }
-
     /// Task completions recorded so far across all clients — the outbox
     /// source for component compositions (a GPU component emits one
     /// interconnect transfer per newly completed task).
@@ -1196,12 +1077,8 @@ impl Engine {
         let stats = EngineStats {
             events: self.events,
             rate_solves: self.rate_solves,
-            incremental_solves: self.incremental_solves,
-            full_solves: self.full_solves,
             resident_changes: self.resident_epoch,
             max_queue_depth: self.max_queue_depth,
-            ticks: self.component_ticks,
-            heap_max_depth: self.heap_max_depth,
         };
         (result, stats)
     }
@@ -1345,7 +1222,7 @@ impl Engine {
         self.timer_remove(i);
         if was_running {
             self.running_remove(i);
-            self.bump_epoch_leave(i);
+            self.bump_epoch();
         }
         self.on_termination();
         self.record(i, EventKind::ClientFault { origin });
@@ -1438,7 +1315,7 @@ impl Engine {
             self.cols.run_rem[i] = remaining;
             self.cols.prepared[i] = prepared;
             self.running_insert(i);
-            self.bump_epoch_join(i);
+            self.bump_epoch();
             self.record(
                 i,
                 EventKind::KernelStart {
@@ -1483,7 +1360,7 @@ impl Engine {
     fn finish_kernel(&mut self, i: usize) {
         // The kernel leaves the GPU here no matter which phase follows.
         self.running_remove(i);
-        self.bump_epoch_leave(i);
+        self.bump_epoch();
         let ti = self.cols.task_idx[i];
         let ki = self.cols.kernel_idx[i];
         let task = &self.programs[i].tasks[ti];
@@ -1561,11 +1438,11 @@ impl Engine {
                 self.next_rr = (i + 1) % n;
                 self.quantum_remaining = quantum;
                 self.switch_remaining = if switching_from_other { switch } else { 0.0 };
-                self.bump_epoch_invalidate();
+                self.bump_epoch();
             }
             None => {
                 if self.active.is_some() || self.switch_remaining > EPS {
-                    self.bump_epoch_invalidate();
+                    self.bump_epoch();
                 }
                 self.active = None;
                 self.quantum_remaining = 0.0;
@@ -1607,7 +1484,7 @@ impl Engine {
         };
         if Some(next) != self.active {
             self.switch_remaining = switch_overhead.value();
-            self.bump_epoch_invalidate();
+            self.bump_epoch();
             self.record(Event::DEVICE, EventKind::ContextSwitch { to_client: next });
         }
         self.active = Some(next);
@@ -1644,38 +1521,10 @@ impl Engine {
     }
 
     /// Re-solves contention rates and power for the current resident set
-    /// into the persistent cache. All intermediate buffers are reused, so
-    /// this allocates nothing after warm-up.
-    ///
-    /// When the accumulated [`SolveDelta`] is a single join/leave, the
-    /// previous solution is updated in place through the contention
-    /// solver's incremental entry points; anything else (or a fast-path
-    /// bailout, or [`EngineConfig::force_full_resolve`]) runs the full
-    /// pipeline. Both paths produce bit-identical allocations — the
-    /// incremental one is cross-checked against a from-scratch solve in
-    /// debug builds.
+    /// into the persistent cache: rebuild the scheduled set and prepared
+    /// inputs, then solve from scratch. All intermediate buffers are
+    /// reused, so this allocates nothing after warm-up.
     fn refresh_solution(&mut self) {
-        let delta = std::mem::replace(&mut self.delta, SolveDelta::None);
-        let incremental = !self.config.force_full_resolve
-            && match delta {
-                SolveDelta::Join(i) => self.try_incremental_join(i),
-                SolveDelta::Leave(i) => self.try_incremental_leave(i),
-                SolveDelta::None | SolveDelta::Invalid => false,
-            };
-        if incremental {
-            self.incremental_solves += 1;
-            #[cfg(debug_assertions)]
-            self.cross_check_incremental();
-        } else {
-            self.refresh_full();
-            self.full_solves += 1;
-        }
-        self.apply_solution();
-    }
-
-    /// Full pipeline: rebuild the scheduled set and prepared inputs, then
-    /// solve from scratch (also re-seeding the incremental solver's state).
-    fn refresh_full(&mut self) {
         let mut scheduled = std::mem::take(&mut self.solved_scheduled);
         scheduled.clear();
         match &self.config.mode {
@@ -1707,55 +1556,11 @@ impl Engine {
             &mut self.allocations_scratch,
         );
         self.solved_scheduled = scheduled;
-    }
-
-    /// Single-join incremental path: splice the joining client into the
-    /// previous solve's inputs and run the solver's linear fast path.
-    /// Returns `false` (leaving `refresh_full` to rebuild everything) when
-    /// the fast path does not apply.
-    fn try_incremental_join(&mut self, i: usize) -> bool {
-        if matches!(self.config.mode, SharingMode::TimeSliced { .. }) {
-            // Kernel starts do not imply scheduling under time slicing.
-            return false;
-        }
-        let Err(pos) = self.solved_scheduled.binary_search(&i) else {
-            debug_assert!(false, "joining client {i} already scheduled");
-            return false;
-        };
-        debug_assert!(self.is_running(i), "joining client {i} is not running");
-        let prepared = self.cols.prepared[i];
-        self.solved_scheduled.insert(pos, i);
-        self.prepared_scratch.insert(pos, prepared);
-        self.solver.solve_prepared_join_into(
-            &self.prepared_scratch,
-            pos,
-            &mut self.solve_scratch,
-            &mut self.allocations_scratch,
-        )
-    }
-
-    /// Single-leave incremental path (see [`Engine::try_incremental_join`]).
-    fn try_incremental_leave(&mut self, i: usize) -> bool {
-        if matches!(self.config.mode, SharingMode::TimeSliced { .. }) {
-            return false;
-        }
-        let Ok(pos) = self.solved_scheduled.binary_search(&i) else {
-            debug_assert!(false, "leaving client {i} was not scheduled");
-            return false;
-        };
-        self.solved_scheduled.remove(pos);
-        self.prepared_scratch.remove(pos);
-        self.solver.solve_prepared_leave_into(
-            &self.prepared_scratch,
-            pos,
-            &mut self.solve_scratch,
-            &mut self.allocations_scratch,
-        )
+        self.apply_solution();
     }
 
     /// Derives the cached rate/power state from `allocations_scratch` and
-    /// `solved_scheduled` — the shared tail of the full and incremental
-    /// solve paths, bit-identical to the historical inline code.
+    /// `solved_scheduled`, bit-identical to the historical inline code.
     ///
     /// One fused pass: the four reductions (dynamic power, SM share, BW
     /// share) and two per-slot products run over the allocation slots
@@ -1796,33 +1601,6 @@ impl Engine {
         self.rate_solves += 1;
     }
 
-    /// Debug-build invariant: an incremental solve must equal a
-    /// from-scratch solve of the same membership, bit for bit.
-    #[cfg(debug_assertions)]
-    fn cross_check_incremental(&self) {
-        debug_assert_eq!(
-            self.solved_scheduled,
-            self.scheduled_running(),
-            "incremental solve membership diverged from the engine state"
-        );
-        let mut scratch = SolveScratch::default();
-        let mut full = Vec::new();
-        self.solver
-            .solve_prepared_into(&self.prepared_scratch, &mut scratch, &mut full);
-        let identical = full.len() == self.allocations_scratch.len()
-            && full.iter().zip(&self.allocations_scratch).all(|(a, b)| {
-                a.rate.to_bits() == b.rate.to_bits()
-                    && a.sm_share.to_bits() == b.sm_share.to_bits()
-                    && a.bw_share.to_bits() == b.bw_share.to_bits()
-                    && a.dyn_power_watts.to_bits() == b.dyn_power_watts.to_bits()
-            });
-        debug_assert!(
-            identical,
-            "incremental solve diverged from full solve: {:?} vs {full:?}",
-            self.allocations_scratch
-        );
-    }
-
     /// Plans the next time step: refreshes the rate/power solution and
     /// derives the time to the next event horizon (the plan half of the
     /// component protocol — no state other than the solution cache, the
@@ -1844,7 +1622,7 @@ impl Engine {
         }
 
         // Find the next event horizon. Every scheduled slot is a Running
-        // client (debug-asserted above and in `refresh_full`), so the scan
+        // client (debug-asserted above and in `refresh_solution`), so the scan
         // reads the dense remaining/rate arrays with no phase dispatch.
         let mut dt = f64::INFINITY;
         // Kernel completions.
@@ -1982,7 +1760,7 @@ impl Engine {
                 if self.switch_remaining <= EPS {
                     // Switch complete: the incoming client's kernel lands
                     // on the (previously drained) GPU.
-                    self.bump_epoch_invalidate();
+                    self.bump_epoch();
                 }
             } else {
                 self.quantum_remaining = (self.quantum_remaining - dt).max(0.0);

@@ -49,22 +49,12 @@ fn record_engine_run(
     mpshare_obs::counter_add(names::ENGINE_RUNS, 1);
     mpshare_obs::counter_add(names::ENGINE_EVENTS, stats.events);
     mpshare_obs::counter_add(names::ENGINE_RATE_SOLVES, stats.rate_solves);
-    mpshare_obs::counter_add(names::ENGINE_INCREMENTAL_SOLVES, stats.incremental_solves);
-    mpshare_obs::counter_add(names::ENGINE_FULL_SOLVES, stats.full_solves);
     mpshare_obs::counter_add(names::ENGINE_RESIDENT_CHANGES, stats.resident_changes);
     mpshare_obs::observe(
         names::ENGINE_QUEUE_DEPTH,
         &mpshare_obs::DEPTH_BUCKETS,
         stats.max_queue_depth as f64,
     );
-    mpshare_obs::counter_add(names::ENGINE_COMPONENT_TICKS, stats.ticks);
-    if stats.heap_max_depth > 0 {
-        mpshare_obs::observe(
-            names::ENGINE_HEAP_DEPTH,
-            &mpshare_obs::DEPTH_BUCKETS,
-            stats.heap_max_depth as f64,
-        );
-    }
     mpshare_obs::gauge_add(names::ENGINE_SIM_SECONDS, result.makespan.value());
     mpshare_obs::observe(
         names::GROUP_MAKESPAN_SECONDS,
@@ -120,9 +110,7 @@ fn record_engine_run(
     }
     let (completed, failed_tasks) = (result.tasks_completed, result.tasks_failed);
     let (events, solves) = (stats.events, stats.rate_solves);
-    let (incremental, full) = (stats.incremental_solves, stats.full_solves);
     let queue_depth = stats.max_queue_depth;
-    let (ticks, heap_depth) = (stats.ticks, stats.heap_max_depth);
     let makespan = result.makespan.value();
     mpshare_obs::emit(
         mpshare_obs::Track::Daemon,
@@ -137,11 +125,7 @@ fn record_engine_run(
                 "tasks_failed": failed_tasks,
                 "events": events,
                 "rate_solves": solves,
-                "incremental_solves": incremental,
-                "full_solves": full,
                 "max_queue_depth": queue_depth,
-                "component_ticks": ticks,
-                "heap_max_depth": heap_depth,
             })
         },
     );
@@ -258,8 +242,6 @@ pub struct GpuRunner {
     device: DeviceSpec,
     sharing_overhead: f64,
     record_events: bool,
-    force_full_resolve: bool,
-    legacy_loop: bool,
 }
 
 impl GpuRunner {
@@ -268,8 +250,6 @@ impl GpuRunner {
             device,
             sharing_overhead: 0.0,
             record_events: false,
-            force_full_resolve: false,
-            legacy_loop: false,
         }
     }
 
@@ -280,28 +260,10 @@ impl GpuRunner {
         self
     }
 
-    /// Disables the engine's incremental re-solve fast path on every run
-    /// (including each MIG instance engine), forcing a full contention
-    /// solve at every resident-set change. Results are bit-identical with
-    /// the fast path — the fuzz harness runs both and compares.
-    pub fn with_forced_full_resolve(mut self, force: bool) -> Self {
-        self.force_full_resolve = force;
-        self
-    }
-
     /// Sets the device-level per-co-runner MPS overhead (shared scheduling
     /// hardware / L2 pressure); see `mpshare-gpusim`'s contention model.
     pub fn with_sharing_overhead(mut self, overhead: f64) -> Self {
         self.sharing_overhead = overhead;
-        self
-    }
-
-    /// Drives every engine run (including each MIG instance engine) with
-    /// the historical direct loop instead of the component core. Results
-    /// are bit-identical either way — the fuzz oracle and
-    /// `tests/perf_equivalence.rs` run both and compare.
-    pub fn with_legacy_loop(mut self, legacy: bool) -> Self {
-        self.legacy_loop = legacy;
         self
     }
 
@@ -370,6 +332,20 @@ impl GpuRunner {
         }
     }
 
+    /// The engine configuration every run shares (each MIG instance
+    /// passes its own sliced `device`).
+    fn engine_config(
+        &self,
+        device: DeviceSpec,
+        mode: SharingMode,
+        faults: FaultPlan,
+    ) -> EngineConfig {
+        EngineConfig::new(device, mode)
+            .with_sharing_overhead(self.sharing_overhead)
+            .with_event_log(self.record_events)
+            .with_fault_plan(faults)
+    }
+
     fn run_engine(
         &self,
         mode_label: &'static str,
@@ -385,12 +361,7 @@ impl GpuRunner {
             SharingMode::Mps { partitions } => partitions.iter().map(|p| p.value()).collect(),
             _ => Vec::new(),
         });
-        let config = EngineConfig::new(self.device.clone(), mode)
-            .with_sharing_overhead(self.sharing_overhead)
-            .with_event_log(self.record_events)
-            .with_forced_full_resolve(self.force_full_resolve)
-            .with_legacy_loop(self.legacy_loop)
-            .with_fault_plan(faults);
+        let config = self.engine_config(self.device.clone(), mode, faults);
         let (result, stats) = Engine::new(config, programs)?.run_with_stats()?;
         record_engine_run(
             mode_label,
@@ -441,23 +412,17 @@ impl GpuRunner {
             // the instance: collocated programs share the instance's MPS
             // server, but the hardware wall stops anything wider.
             let instance_faults = faults.restrict(&orig_indices).widen_to_domain();
-            let config = EngineConfig::new(
-                device,
-                SharingMode::Mps {
-                    partitions: vec![Fraction::ONE; progs.len()],
-                },
-            )
-            .with_sharing_overhead(self.sharing_overhead)
-            .with_event_log(self.record_events)
-            .with_forced_full_resolve(self.force_full_resolve)
-            .with_legacy_loop(self.legacy_loop)
-            .with_fault_plan(instance_faults.clone());
+            let faults_planned = instance_faults.len() as u64;
+            let mode = SharingMode::Mps {
+                partitions: vec![Fraction::ONE; progs.len()],
+            };
+            let config = self.engine_config(device, mode, instance_faults);
             let clients = progs.len();
             let (result, stats) = Engine::new(config, progs)?.run_with_stats()?;
             record_engine_run(
                 "mig-instance",
                 clients,
-                instance_faults.len() as u64,
+                faults_planned,
                 &result,
                 stats,
                 // Instance members run under full MPS partitions.

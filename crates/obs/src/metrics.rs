@@ -24,16 +24,11 @@ pub mod names {
     pub const ENGINE_RUNS: &str = "mpshare_engine_runs_total";
     pub const ENGINE_EVENTS: &str = "mpshare_engine_events_total";
     pub const ENGINE_RATE_SOLVES: &str = "mpshare_engine_rate_solves_total";
-    pub const ENGINE_INCREMENTAL_SOLVES: &str = "mpshare_engine_incremental_solves_total";
-    pub const ENGINE_FULL_SOLVES: &str = "mpshare_engine_full_solves_total";
     pub const ENGINE_RESIDENT_CHANGES: &str = "mpshare_engine_resident_changes_total";
     /// Heap allocations observed during a measured steady-state engine
     /// window (reported by the counting-allocator gate; pinned to 0).
     pub const ENGINE_STEADY_STATE_ALLOCS: &str = "mpshare_engine_steady_state_allocs_total";
     pub const ENGINE_SIM_SECONDS: &str = "mpshare_engine_sim_seconds_total";
-    /// Global tick-heap pops dispatched to engines by the component core
-    /// (zero for legacy-loop runs; see `mpshare-gpusim`'s component module).
-    pub const ENGINE_COMPONENT_TICKS: &str = "mpshare_engine_component_ticks_total";
     // Fault / recovery accounting.
     pub const FAULTS_INJECTED: &str = "mpshare_faults_injected_total";
     pub const CLIENTS_FAILED: &str = "mpshare_clients_failed_total";
@@ -64,9 +59,6 @@ pub mod names {
     pub const GROUP_MAKESPAN_SECONDS: &str = "mpshare_group_makespan_sim_seconds";
     pub const QUEUE_DEPTH: &str = "mpshare_scheduler_queue_depth";
     pub const ENGINE_QUEUE_DEPTH: &str = "mpshare_engine_event_queue_depth";
-    /// Max live component tick-heap depth per run (one entry per component:
-    /// 1 for a solo engine, more under multi-component compositions).
-    pub const ENGINE_HEAP_DEPTH: &str = "mpshare_engine_tick_heap_depth";
     pub const PHASE_SIM_SECONDS: &str = "mpshare_experiment_phase_sim_seconds";
 }
 
@@ -187,11 +179,8 @@ impl MetricsRegistry {
             ENGINE_RUNS,
             ENGINE_EVENTS,
             ENGINE_RATE_SOLVES,
-            ENGINE_INCREMENTAL_SOLVES,
-            ENGINE_FULL_SOLVES,
             ENGINE_RESIDENT_CHANGES,
             ENGINE_STEADY_STATE_ALLOCS,
-            ENGINE_COMPONENT_TICKS,
             FAULTS_INJECTED,
             CLIENTS_FAILED,
             TASKS_COMPLETED,
@@ -229,7 +218,6 @@ impl MetricsRegistry {
             (PHASE_SIM_SECONDS, &SIM_SECONDS_BUCKETS[..]),
             (QUEUE_DEPTH, &DEPTH_BUCKETS[..]),
             (ENGINE_QUEUE_DEPTH, &DEPTH_BUCKETS[..]),
-            (ENGINE_HEAP_DEPTH, &DEPTH_BUCKETS[..]),
         ] {
             inner
                 .histograms

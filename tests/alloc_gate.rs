@@ -7,15 +7,16 @@
 //!   touches no heap. The only allowed allocations are the per-client
 //!   task-completion records (whose buffers were moved into the previous
 //!   run's result), so at most one allocating step per client. The same
-//!   bound holds with the engine driven through the component/tick-heap
-//!   core (`SimCore`) instead of the direct loop.
+//!   bound holds with the engine wrapped in a `GpuComponent` and driven
+//!   through the component/tick-heap core (`SimCore`), as `Composition`
+//!   runs it.
 //! * **Warm planning allocates no more than cold planning.** A warm
 //!   [`Planner::plan_warm`] call — memo translation included — must not
 //!   out-allocate the cold `plan` call it replaces on the same queue.
 //!
 //! The assertions only fire in release builds: debug builds run the
-//! engine's self-checking cross-validation paths, which allocate by
-//! design. `make check` runs this gate with `--release`.
+//! engine's debug assertions, some of which allocate by design.
+//! `make check` runs this gate with `--release`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,8 +138,9 @@ fn steady_state_advance_is_alloc_free() {
     let dirty_steps = per_step.iter().filter(|&&a| a > 0).count();
     mpshare::obs::counter_add(mpshare::obs::names::ENGINE_STEADY_STATE_ALLOCS, total);
 
-    // Debug builds cross-validate the incremental solver against full
-    // re-solves, which allocates by design; the gate proper is release.
+    // Debug builds run the engine's self-checks (the rate-cache staleness
+    // assertion rebuilds the scheduled set), which allocate by design; the
+    // gate proper is release.
     if cfg!(debug_assertions) {
         return;
     }
@@ -156,14 +158,15 @@ fn steady_state_advance_is_alloc_free() {
     );
 }
 
-/// The steady-state contract holds when the engine is driven through the
-/// component/tick-heap core instead of the direct `step()` loop: a
+/// The steady-state contract holds when the engine runs the way
+/// `Composition` runs it: wrapped in a `GpuComponent` (shipping nothing,
+/// `bytes_per_task` 0) and driven through the component/tick-heap core. A
 /// single-component `SimCore` pops and re-pushes one heap entry per tick
 /// (capacity 1, no stale accumulation), so `SimCore::step` adds zero
 /// allocations on top of the engine's own.
 #[test]
 fn component_core_steady_state_is_alloc_free() {
-    use mpshare::gpusim::{Component, SimCore};
+    use mpshare::gpusim::{Component, GpuComponent, SimCore};
 
     let _serial = GATE_LOCK.lock().unwrap();
 
@@ -173,11 +176,12 @@ fn component_core_steady_state_is_alloc_free() {
         .unwrap();
     let (reference, _, scratch) = warm_up;
 
-    let mut engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
+    let engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
+    let mut gpu = GpuComponent::new(0, "gpu0".to_string(), engine, 1, 0.0);
     let mut core = SimCore::new(1);
     let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
     {
-        let mut comps: [&mut dyn Component; 1] = [&mut engine];
+        let mut comps: [&mut dyn Component; 1] = [&mut gpu];
         // The initial arm pass plans the first horizon (unmeasured, like
         // the constructors above); every subsequent tick is measured.
         core.arm_all(&mut comps).unwrap();
@@ -193,14 +197,18 @@ fn component_core_steady_state_is_alloc_free() {
     assert_eq!(core.stats().max_heap_depth, 1);
     assert_eq!(core.stats().ticks, per_step.len() as u64 - 1);
 
-    let (result, stats, _scratch) = engine.run_reusing().unwrap();
+    let outcome = gpu.finish().unwrap();
     assert_eq!(
-        stats.ticks,
+        outcome.ticks,
         core.stats().ticks,
-        "every engine event must have been dispatched as a component tick"
+        "every heap tick must have been dispatched to the GPU"
     );
     assert_eq!(
-        serde_json::to_string(&result).unwrap(),
+        outcome.ticks, outcome.stats.events,
+        "one heap tick per engine event"
+    );
+    assert_eq!(
+        serde_json::to_string(&outcome.result).unwrap(),
         serde_json::to_string(&reference).unwrap(),
         "component-core run must be bit-identical to the warm-up run"
     );

@@ -1,15 +1,9 @@
-//! End-to-end integration of the component/tick-heap engine core through
-//! the facade crate:
-//!
-//! * a two-GPU + shared-interconnect composition advances interleaved
-//!   through one global heap, and each GPU's result stays bit-identical
-//!   to the same engine run solo;
-//! * the component counters (`ticks`, `heap_max_depth`) surface through
-//!   `mpshare-obs` when a `GpuRunner` records an engine run.
+//! End-to-end integration of the component/tick-heap core through the
+//! facade crate: a two-GPU + shared-interconnect composition advances
+//! interleaved through one global heap, and each GPU's result stays
+//! bit-identical to the same engine run solo.
 
 use mpshare::gpusim::{ClientProgram, Composition, DeviceSpec, Engine, EngineConfig, SharingMode};
-use mpshare::mps::{GpuRunner, GpuSharing};
-use mpshare::obs;
 use mpshare::workloads::SyntheticSpec;
 
 fn device() -> DeviceSpec {
@@ -48,8 +42,8 @@ fn engine(salt: u64) -> Engine {
 
 #[test]
 fn two_gpu_composition_matches_solo_runs_and_accounts_the_link() {
-    // Solo references: the same engines run alone through the default
-    // (component-core) loop.
+    // Solo references: the same engines run alone through their own
+    // `while step()` loop.
     let (solo0, _) = engine(0).run_with_stats().unwrap();
     let (solo1, _) = engine(1000).run_with_stats().unwrap();
 
@@ -98,6 +92,9 @@ fn two_gpu_composition_matches_solo_runs_and_accounts_the_link() {
     // armed only while transfers are queued, and every task crosses the
     // core twice (GPU → link, link → successor GPU).
     assert!(outcome.sim.ticks > 0);
+    for g in &outcome.gpus {
+        assert_eq!(g.ticks, g.stats.events, "one heap tick per engine event");
+    }
     assert!(
         (2..=3).contains(&outcome.sim.max_heap_depth),
         "heap depth {} out of range",
@@ -109,46 +106,4 @@ fn two_gpu_composition_matches_solo_runs_and_accounts_the_link() {
     assert!(outcome.makespan >= solo0.makespan);
     assert!(outcome.makespan >= solo1.makespan);
     assert!(outcome.makespan.value() >= outcome.link.last_completion.value());
-}
-
-/// The whole obs story in one test: the registry is process-global, so
-/// splitting the component-metric assertions across #[test] functions
-/// would race on the enabled flag and the counters.
-#[test]
-fn runner_exports_component_ticks_and_heap_depth_metrics() {
-    obs::set_enabled(true);
-    let m = obs::metrics();
-    let ticks0 = m.counter_get(obs::names::ENGINE_COMPONENT_TICKS);
-    let depth0 = m.histogram_count(obs::names::ENGINE_HEAP_DEPTH);
-
-    let runner = GpuRunner::new(device());
-    let r = runner
-        .run(&GpuSharing::mps_default(2), programs(0))
-        .unwrap();
-    assert_eq!(r.tasks_completed, 4);
-
-    let ticks1 = m.counter_get(obs::names::ENGINE_COMPONENT_TICKS);
-    let depth1 = m.histogram_count(obs::names::ENGINE_HEAP_DEPTH);
-    assert!(
-        ticks1 > ticks0,
-        "component-core run must add engine ticks ({ticks0} -> {ticks1})"
-    );
-    assert_eq!(
-        depth1,
-        depth0 + 1,
-        "one heap-depth observation per recorded engine run"
-    );
-
-    // The legacy loop never touches the heap: recording such a run adds
-    // zero ticks and no depth observation.
-    let legacy = runner
-        .clone()
-        .with_legacy_loop(true)
-        .run(&GpuSharing::mps_default(2), programs(0))
-        .unwrap();
-    assert_eq!(legacy.tasks_completed, 4);
-    assert_eq!(m.counter_get(obs::names::ENGINE_COMPONENT_TICKS), ticks1);
-    assert_eq!(m.histogram_count(obs::names::ENGINE_HEAP_DEPTH), depth1);
-
-    obs::set_enabled(false);
 }

@@ -1,99 +1,17 @@
-//! Bitwise-equivalence properties for the engine and planner fast paths.
+//! Bitwise-equivalence properties for the planner fast path.
 //!
-//! The hot-path work in this repo — the incremental contention re-solve on
-//! single join/leave, the branch-and-bound exhaustive plan search, and the
-//! component/tick-heap engine core — is pure optimization or pure
-//! restructuring: each must return *bit-identical* results to the
-//! from-scratch path it replaces. These properties drive randomized
-//! workloads (including fault-abort churn) through both paths and compare
-//! the full outputs.
+//! Branch-and-bound exhaustive plan search is pure optimization: it must
+//! return the *same plan* as the unpruned enumeration it replaces. These
+//! properties drive randomized profile pools through both paths and
+//! compare the full outputs.
 
 use mpshare::core::{MetricPriority, Planner, PlannerStrategy, WorkflowProfile};
-use mpshare::gpusim::{
-    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineStats, FaultPlan, RunResult, SharingMode,
-};
+use mpshare::gpusim::DeviceSpec;
 use mpshare::types::{Energy, MemBytes, Percent, Power, Seconds};
-use mpshare::workloads::SyntheticSpec;
 use proptest::prelude::*;
 
 fn device() -> DeviceSpec {
     DeviceSpec::a100x()
-}
-
-/// Strategy generating one synthetic workload spec (same envelope as
-/// tests/invariants.rs, biased toward host gaps so clients join and leave
-/// the resident set many times).
-fn spec_strategy() -> impl Strategy<Value = SyntheticSpec> {
-    (
-        0.02f64..=1.0, // sm_demand
-        0.0f64..=0.6,  // bw_demand
-        0.2f64..=0.9,  // duty cycle (< 1: every client has gaps)
-        1.0f64..=10.0, // duration
-        64u64..=4096,  // memory MiB
-        2usize..=10,   // kernels
-        0.0f64..=1.0,  // cache sensitivity
-        0.0f64..=0.15, // client sensitivity
-    )
-        .prop_map(
-            |(sm, bw, duty, duration, memory_mib, kernels, cache, client)| SyntheticSpec {
-                sm_demand: sm,
-                bw_demand: bw,
-                duty_cycle: duty,
-                duration,
-                memory_mib,
-                kernels,
-                cache_sensitivity: cache,
-                client_sensitivity: client,
-            },
-        )
-}
-
-fn programs_for(specs: &[SyntheticSpec]) -> Vec<ClientProgram> {
-    let d = device();
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.to_client_program(&d, 1, i as u64 * 100).unwrap())
-        .collect()
-}
-
-/// Runs the programs under the given sharing mode twice — incremental
-/// re-solve allowed vs. forced full re-solve — and returns both outcomes.
-fn run_both(
-    mode: SharingMode,
-    specs: &[SyntheticSpec],
-    faults: &FaultPlan,
-) -> ((RunResult, EngineStats), (RunResult, EngineStats)) {
-    let run = |force: bool| {
-        let config = EngineConfig::new(device(), mode.clone())
-            .with_fault_plan(faults.clone())
-            .with_forced_full_resolve(force);
-        Engine::new(config, programs_for(specs))
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
-    };
-    (run(false), run(true))
-}
-
-/// Runs the programs under `mode` twice — the component/tick-heap core
-/// (default) vs the historical direct `while step()` loop — and returns
-/// both outcomes.
-fn run_component_and_legacy(
-    mode: SharingMode,
-    specs: &[SyntheticSpec],
-    faults: &FaultPlan,
-) -> ((RunResult, EngineStats), (RunResult, EngineStats)) {
-    let run = |legacy: bool| {
-        let config = EngineConfig::new(device(), mode.clone())
-            .with_fault_plan(faults.clone())
-            .with_legacy_loop(legacy);
-        Engine::new(config, programs_for(specs))
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
-    };
-    (run(false), run(true))
 }
 
 /// Random profile pool for the plan-search property: utilizations and
@@ -134,121 +52,6 @@ fn priority_strategy() -> impl Strategy<Value = MetricPriority> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The incremental single-join/leave contention re-solve must be
-    /// invisible: an engine run with the fast path enabled produces a
-    /// `RunResult` bit-identical (via its serialized form — rates, power,
-    /// clocks, energy, telemetry, event log) to one forced onto the full
-    /// re-solve pipeline, across random join/leave/fault sequences.
-    #[test]
-    fn incremental_resolve_matches_full_resolve(
-        specs in prop::collection::vec(spec_strategy(), 1..6),
-        fault_seed in 0u64..1000,
-    ) {
-        let horizons: Vec<Seconds> = programs_for(&specs)
-            .iter()
-            .map(|p| p.solo_wall_time())
-            .collect();
-        // Rate 0.5: roughly half the runs abort clients mid-flight,
-        // exercising the PR 3 fault-abort leave path.
-        let faults = FaultPlan::seeded(fault_seed, &horizons, 0.5).unwrap();
-        let n = specs.len();
-        let ((inc_result, inc_stats), (full_result, full_stats)) =
-            run_both(SharingMode::mps_uniform(n), &specs, &faults);
-
-        prop_assert_eq!(
-            serde_json::to_string(&inc_result).unwrap(),
-            serde_json::to_string(&full_result).unwrap(),
-            "incremental vs full resolve diverged (stats {:?} vs {:?})",
-            inc_stats,
-            full_stats
-        );
-        // The forced path never takes the fast path; both account every
-        // re-solve as exactly one of incremental or full.
-        prop_assert_eq!(full_stats.incremental_solves, 0);
-        prop_assert_eq!(
-            inc_stats.incremental_solves + inc_stats.full_solves,
-            inc_stats.rate_solves
-        );
-        prop_assert_eq!(full_stats.full_solves, full_stats.rate_solves);
-        prop_assert_eq!(inc_stats.events, full_stats.events);
-    }
-
-    /// Same equivalence under fused streams (the other scheduled-resident
-    /// mode the fast path serves).
-    #[test]
-    fn incremental_resolve_matches_full_resolve_streams(
-        specs in prop::collection::vec(spec_strategy(), 1..5),
-    ) {
-        let ((inc_result, inc_stats), (full_result, full_stats)) =
-            run_both(SharingMode::Streams, &specs, &FaultPlan::new());
-        prop_assert_eq!(
-            serde_json::to_string(&inc_result).unwrap(),
-            serde_json::to_string(&full_result).unwrap(),
-            "streams incremental vs full resolve diverged (stats {:?} vs {:?})",
-            inc_stats,
-            full_stats
-        );
-        prop_assert_eq!(full_stats.incremental_solves, 0);
-    }
-
-    /// The component/tick-heap core must be observationally invisible: an
-    /// engine driven through `SimCore`'s global heap (the default loop)
-    /// produces a `RunResult` bit-identical to the historical direct
-    /// `while step()` loop, across random join/leave/fault sequences.
-    #[test]
-    fn component_core_matches_legacy_loop(
-        specs in prop::collection::vec(spec_strategy(), 1..6),
-        fault_seed in 0u64..1000,
-    ) {
-        let horizons: Vec<Seconds> = programs_for(&specs)
-            .iter()
-            .map(|p| p.solo_wall_time())
-            .collect();
-        let faults = FaultPlan::seeded(fault_seed, &horizons, 0.5).unwrap();
-        let n = specs.len();
-        let ((comp_result, comp_stats), (legacy_result, legacy_stats)) =
-            run_component_and_legacy(SharingMode::mps_uniform(n), &specs, &faults);
-
-        prop_assert_eq!(
-            serde_json::to_string(&comp_result).unwrap(),
-            serde_json::to_string(&legacy_result).unwrap(),
-            "component core vs legacy loop diverged (stats {:?} vs {:?})",
-            comp_stats,
-            legacy_stats
-        );
-        // The component core ticks exactly once per engine event through
-        // the global heap (one entry, re-armed after every tick); the
-        // legacy loop never touches either counter.
-        prop_assert_eq!(comp_stats.ticks, comp_stats.events);
-        prop_assert_eq!(comp_stats.heap_max_depth, 1);
-        prop_assert_eq!(legacy_stats.ticks, 0);
-        prop_assert_eq!(legacy_stats.heap_max_depth, 0);
-        prop_assert_eq!(comp_stats.events, legacy_stats.events);
-    }
-
-    /// Same pinning under time slicing, whose quantum-expiry events stress
-    /// the plan/apply split (the planned rotation flag must survive the
-    /// `next_tick`/`tick_to` handoff).
-    #[test]
-    fn component_core_matches_legacy_loop_timesliced(
-        specs in prop::collection::vec(spec_strategy(), 2..5),
-    ) {
-        let ((comp_result, comp_stats), (legacy_result, legacy_stats)) =
-            run_component_and_legacy(
-                SharingMode::timesliced_default(),
-                &specs,
-                &FaultPlan::new(),
-            );
-        prop_assert_eq!(
-            serde_json::to_string(&comp_result).unwrap(),
-            serde_json::to_string(&legacy_result).unwrap(),
-            "timesliced component core vs legacy loop diverged (stats {:?} vs {:?})",
-            comp_stats,
-            legacy_stats
-        );
-        prop_assert_eq!(comp_stats.events, legacy_stats.events);
-    }
 
     /// Branch-and-bound exhaustive planning must return the *same plan* as
     /// the unpruned enumeration — not just an equally-scored one — on
@@ -300,74 +103,5 @@ fn pruned_exhaustive_matches_brute_force_n10() {
         let fast = pruned.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
         let slow = brute.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
         assert_eq!(fast, slow, "priority {priority:?}");
-    }
-}
-
-/// One deterministic sweep across every sharing mechanism the runner
-/// supports — Sequential, TimeSliced, MPS, Streams, MIG — fault-free and
-/// with a mid-run client fault, pinning the component core against the
-/// legacy loop at the `GpuRunner` level. MIG matters here: it runs one
-/// engine per instance and merges, so the loop choice threads through the
-/// per-instance configs.
-#[test]
-fn gpu_runner_component_core_matches_legacy_for_all_mechanisms() {
-    use mpshare::mps::{GpuRunner, GpuSharing, MigLayout, MigProfile, TimeSliceConfig};
-
-    let d = device();
-    let specs: Vec<SyntheticSpec> = (0..4)
-        .map(|i| SyntheticSpec {
-            sm_demand: 0.2 + 0.15 * i as f64,
-            bw_demand: 0.05 * i as f64,
-            duty_cycle: 0.7,
-            duration: 1.0 + 0.3 * i as f64,
-            memory_mib: 256,
-            kernels: 3,
-            cache_sensitivity: 0.2,
-            client_sensitivity: 0.05,
-        })
-        .collect();
-    let programs = programs_for(&specs);
-    let mut faults = FaultPlan::new();
-    faults.push_client_fault(Seconds::new(0.9), 1);
-
-    let layout = MigLayout::new(&d, &[MigProfile::ThreeSlice, MigProfile::FourSlice]).unwrap();
-    let mechanisms: Vec<(&str, GpuSharing)> = vec![
-        ("sequential", GpuSharing::Sequential),
-        (
-            "timesliced",
-            GpuSharing::TimeSliced(TimeSliceConfig::driver_default()),
-        ),
-        ("mps", GpuSharing::mps_default(4)),
-        ("streams", GpuSharing::Streams),
-        (
-            "mig",
-            GpuSharing::Mig {
-                layout,
-                assignment: vec![0, 1, 0, 1],
-            },
-        ),
-    ];
-    for (name, sharing) in &mechanisms {
-        for faulty in [false, true] {
-            let plan = if faulty {
-                faults.clone()
-            } else {
-                FaultPlan::new()
-            };
-            let component = GpuRunner::new(d.clone())
-                .with_event_log(true)
-                .run_with_faults(sharing, programs.clone(), &plan)
-                .unwrap();
-            let legacy = GpuRunner::new(d.clone())
-                .with_event_log(true)
-                .with_legacy_loop(true)
-                .run_with_faults(sharing, programs.clone(), &plan)
-                .unwrap();
-            assert_eq!(
-                serde_json::to_string(&component).unwrap(),
-                serde_json::to_string(&legacy).unwrap(),
-                "mechanism {name} (faulty={faulty}) diverged between loops"
-            );
-        }
     }
 }
