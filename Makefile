@@ -96,6 +96,9 @@ fault-smoke: build
 # (it is a pure function of the observation multiset) and still carry
 # every required track, metric family, and timeline invariant
 # (validate-obs). Experiment outputs must be unaffected by recording.
+# ext_online's trace has no engine run, so two serial ext_attrib traces
+# cover the engine half of the merged export (pids 0-2): they must be
+# byte-identical and pass validate-obs --engine-trace.
 trace-smoke: build
 	@rm -rf .trace-smoke
 	@mkdir -p .trace-smoke
@@ -117,6 +120,12 @@ trace-smoke: build
 		--trace-out .trace-smoke/c-trace.json --metrics-out .trace-smoke/c-metrics.json \
 		--timeline-out .trace-smoke/c-timeline.json
 	cmp .trace-smoke/a/ext_online.json .trace-smoke/c/ext_online.json
+	./target/release/mpshare-repro ext_attrib --out .trace-smoke/d --serial \
+		--trace-out .trace-smoke/d-trace.json >/dev/null 2>&1
+	./target/release/mpshare-repro ext_attrib --out .trace-smoke/e --serial \
+		--trace-out .trace-smoke/e-trace.json >/dev/null 2>&1
+	cmp .trace-smoke/d-trace.json .trace-smoke/e-trace.json
+	./target/release/mpshare-repro validate-obs --engine-trace .trace-smoke/d-trace.json
 	@rm -rf .trace-smoke
 	@echo "trace-determinism smoke gate passed"
 

@@ -1000,11 +1000,6 @@ impl Engine {
         self.cols.completions.iter().map(|c| c.len()).sum()
     }
 
-    /// Simulated time reached so far.
-    pub fn now_seconds(&self) -> f64 {
-        self.now
-    }
-
     /// Whether every client has reached a terminal phase.
     pub fn is_finished(&self) -> bool {
         self.terminated_count == self.programs.len()

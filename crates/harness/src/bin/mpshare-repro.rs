@@ -53,7 +53,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mpshare-repro <table1|table2|fig1|fig2|fig3|fig4|fig5|ext_node|ext_mechanisms|ext_powercap|ext_online|ext_hetero|ext_faults|ext_attrib|all> [--out DIR] [--serial] [--trace-out FILE] [--metrics-out FILE] [--timeline-out FILE]\n       mpshare-repro report [--out DIR] [--serial] [--timeline-out FILE]\n       mpshare-repro validate-obs --trace-out FILE --metrics-out FILE [--timeline-out FILE]"
+        "usage: mpshare-repro <table1|table2|fig1|fig2|fig3|fig4|fig5|ext_node|ext_mechanisms|ext_powercap|ext_online|ext_hetero|ext_faults|ext_attrib|all> [--out DIR] [--serial] [--trace-out FILE] [--metrics-out FILE] [--timeline-out FILE]\n       mpshare-repro report [--out DIR] [--serial] [--timeline-out FILE]\n       mpshare-repro validate-obs --trace-out FILE --metrics-out FILE [--timeline-out FILE]\n       mpshare-repro validate-obs --engine-trace FILE"
     );
     std::process::exit(2);
 }
@@ -67,6 +67,7 @@ fn main() -> ExitCode {
     let mut timeline_out = std::env::var("MPSHARE_TIMELINE_OUT")
         .ok()
         .map(PathBuf::from);
+    let mut engine_trace: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -86,6 +87,10 @@ fn main() -> ExitCode {
                 Some(path) => timeline_out = Some(PathBuf::from(path)),
                 None => usage(),
             },
+            "--engine-trace" => match it.next() {
+                Some(path) => engine_trace = Some(PathBuf::from(path)),
+                None => usage(),
+            },
             "--serial" => mpshare_par::set_serial(true),
             "-h" | "--help" => usage(),
             other if which.is_none() => which = Some(other.to_string()),
@@ -95,8 +100,11 @@ fn main() -> ExitCode {
     let which = which.unwrap_or_else(|| usage());
 
     if which == "validate-obs" {
-        return match (trace_out, metrics_out) {
-            (Some(trace), Some(metrics)) => validate_obs(&trace, &metrics, timeline_out.as_ref()),
+        return match (trace_out, metrics_out, engine_trace) {
+            (Some(trace), Some(metrics), None) => {
+                validate_obs(&trace, &metrics, timeline_out.as_ref())
+            }
+            (None, None, Some(trace)) => validate_engine_trace(&trace),
             _ => usage(),
         };
     }
@@ -331,15 +339,124 @@ fn validate_obs(
         }
     }
 
+    report_failures(&failures, "observability artifacts OK")
+}
+
+fn report_failures(failures: &[String], ok: &str) -> ExitCode {
     if failures.is_empty() {
-        eprintln!("observability artifacts OK");
+        eprintln!("{ok}");
         ExitCode::SUCCESS
     } else {
-        for f in &failures {
+        for f in failures {
             eprintln!("validate-obs: {f}");
         }
         ExitCode::FAILURE
     }
+}
+
+/// Checks the engine half of a merged trace (pids 0–2, as `--trace-out`
+/// writes it for `ext_attrib` and `all`): the device/clients/kernels
+/// process names, a named thread for every client track, task spans and
+/// all four device counters, finite non-negative span times, device
+/// utilizations within [0, 100] %, counter times non-decreasing per
+/// counter, and instant markers scoped to a thread or globally.
+fn validate_engine_trace(trace_path: &PathBuf) -> ExitCode {
+    use serde_json::Value;
+    let mut failures: Vec<String> = Vec::new();
+    let trace = match std::fs::read_to_string(trace_path)
+        .map_err(|e| e.to_string())
+        .and_then(|s| serde_json::from_str::<Value>(&s).map_err(|e| e.to_string()))
+    {
+        Ok(trace) => trace,
+        Err(err) => {
+            failures.push(format!("cannot parse {}: {err}", trace_path.display()));
+            return report_failures(&failures, "");
+        }
+    };
+    let events = trace
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .cloned()
+        .unwrap_or_default();
+    let str_at = |e: &Value, key: &str| e.get(key).and_then(|v| v.as_str()).map(str::to_string);
+    let u64_at = |e: &Value, key: &str| e.get(key).and_then(|v| v.as_u64());
+    let f64_at = |e: &Value, key: &str| e.get(key).and_then(|v| v.as_f64());
+    let is = |e: &Value, ph: &str, pid: u64| {
+        str_at(e, "ph").as_deref() == Some(ph) && u64_at(e, "pid") == Some(pid)
+    };
+    let meta_name = |e: &Value| e.get("args").and_then(|a| str_at(a, "name"));
+
+    for (pid, process) in [(0u64, "device"), (1, "clients"), (2, "kernels")] {
+        let named = events.iter().any(|e| {
+            is(e, "M", pid)
+                && str_at(e, "name").as_deref() == Some("process_name")
+                && meta_name(e).as_deref() == Some(process)
+        });
+        if !named {
+            failures.push(format!("trace has no process_name {process} for pid {pid}"));
+        }
+    }
+    let named_threads: Vec<u64> = events
+        .iter()
+        .filter(|e| is(e, "M", 1) && str_at(e, "name").as_deref() == Some("thread_name"))
+        .filter_map(|e| u64_at(e, "tid"))
+        .collect();
+
+    let mut task_spans = 0usize;
+    for e in events
+        .iter()
+        .filter(|e| str_at(e, "ph").as_deref() == Some("X"))
+    {
+        let (pid, tid) = (u64_at(e, "pid"), u64_at(e, "tid"));
+        if !matches!(pid, Some(1) | Some(2)) {
+            continue;
+        }
+        let (ts, dur) = (f64_at(e, "ts"), f64_at(e, "dur"));
+        if !matches!((ts, dur), (Some(ts), Some(dur)) if ts >= 0.0 && dur >= 0.0) {
+            failures.push(format!("span {e} has no finite non-negative ts/dur"));
+        }
+        if pid == Some(1) {
+            task_spans += 1;
+            if !tid.is_some_and(|t| named_threads.contains(&t)) {
+                failures.push(format!("task span {e} is on an unnamed client track"));
+            }
+        }
+    }
+    if task_spans == 0 {
+        failures.push("trace has no task spans (pid 1)".to_string());
+    }
+
+    for counter in ["sm_util", "bw_util", "power_w", "clock"] {
+        let samples: Vec<(f64, f64)> = events
+            .iter()
+            .filter(|e| is(e, "C", 0) && str_at(e, "name").as_deref() == Some(counter))
+            .filter_map(|e| Some((f64_at(e, "ts")?, f64_at(e.get("args")?, counter)?)))
+            .collect();
+        if samples.is_empty() {
+            failures.push(format!("trace has no {counter} device counter (pid 0)"));
+        }
+        if samples.windows(2).any(|w| w[1].0 < w[0].0) {
+            failures.push(format!("device counter {counter}: times not monotone"));
+        }
+        let bounded = counter != "power_w";
+        if samples
+            .iter()
+            .any(|&(_, v)| v < 0.0 || (bounded && v > 100.0 + 1e-9))
+        {
+            failures.push(format!("device counter {counter}: value out of range"));
+        }
+    }
+
+    for e in events
+        .iter()
+        .filter(|e| str_at(e, "ph").as_deref() == Some("i"))
+    {
+        if !matches!(str_at(e, "s").as_deref(), Some("t") | Some("g")) {
+            failures.push(format!("instant {e} has no thread or global scope"));
+        }
+    }
+
+    report_failures(&failures, "engine trace OK")
 }
 
 /// Timeline-export invariants: required series/track families present,

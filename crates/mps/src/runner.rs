@@ -71,16 +71,20 @@ fn record_engine_run(
     // Timeline series: every piecewise-constant telemetry segment becomes
     // one span sample, so the store's integrals and utilization CDFs are
     // exact (no sampling). Device-level state feeds the global series and
-    // the per-mechanism occupancy track.
+    // the per-mechanism occupancy track. The run's samples are gathered
+    // in a local batch and applied under one store lock.
     use mpshare_obs::series;
-    let tl = mpshare_obs::timelines();
-    let occupancy = series::occupancy(mode);
+    let mut batch = mpshare_obs::TimelineBatch::new();
+    let sm_util = batch.name(series::DEVICE_SM_UTIL);
+    let bw_util = batch.name(series::DEVICE_BW_UTIL);
+    let power_w = batch.name(series::DEVICE_POWER_W);
+    let occupancy = batch.name(series::occupancy(mode));
     for s in result.telemetry.segments() {
         let (t, dur) = (s.start.value(), s.duration().value());
-        tl.series_push_span(series::DEVICE_SM_UTIL, t, dur, s.sm_util);
-        tl.series_push_span(series::DEVICE_BW_UTIL, t, dur, s.bw_util);
-        tl.series_push_span(series::DEVICE_POWER_W, t, dur, s.power.watts());
-        tl.series_push_span(&occupancy, t, dur, s.sm_util);
+        batch.push_span(sm_util, t, dur, s.sm_util);
+        batch.push_span(bw_util, t, dur, s.bw_util);
+        batch.push_span(power_w, t, dur, s.power.watts());
+        batch.push_span(occupancy, t, dur, s.sm_util);
     }
     // Per-client state over the client's [started, finished] residency:
     // residency itself, the mechanism-granted SM share, and the mean
@@ -88,26 +92,26 @@ fn record_engine_run(
     // an integral, since energy was integrated exactly engine-side).
     // Turnarounds feed the exact quantile tracks; failed clients are
     // excluded (their "finish" is the abort, not a completion).
-    let mech_turnaround = series::mechanism_turnaround(mode);
+    let client_turnaround = batch.name(series::CLIENT_TURNAROUND);
+    let mech_turnaround = batch.name(series::mechanism_turnaround(mode));
     for (i, c) in result.clients.iter().enumerate() {
         let share = shares.get(i).copied().unwrap_or(1.0);
         let start = c.started.value();
         let dur = (c.finished.value() - start).max(0.0);
-        tl.series_push_span(&series::client(&c.label, "resident"), start, dur, 1.0);
-        tl.series_push_span(&series::client(&c.label, "sm_share"), start, dur, share);
+        let resident = batch.name(series::client(&c.label, "resident"));
+        batch.push_span(resident, start, dur, 1.0);
+        let sm_share = batch.name(series::client(&c.label, "sm_share"));
+        batch.push_span(sm_share, start, dur, share);
         if dur > 0.0 {
-            tl.series_push_span(
-                &series::client(&c.label, "dyn_power_w"),
-                start,
-                dur,
-                c.dyn_energy.joules() / dur,
-            );
+            let dyn_power = batch.name(series::client(&c.label, "dyn_power_w"));
+            batch.push_span(dyn_power, start, dur, c.dyn_energy.joules() / dur);
         }
         if !c.failed {
-            tl.quantile_observe(series::CLIENT_TURNAROUND, c.finished.value());
-            tl.quantile_observe(&mech_turnaround, c.finished.value());
+            batch.observe(client_turnaround, c.finished.value());
+            batch.observe(mech_turnaround, c.finished.value());
         }
     }
+    mpshare_obs::timelines().apply(&batch);
     let (completed, failed_tasks) = (result.tasks_completed, result.tasks_failed);
     let (events, solves) = (stats.events, stats.rate_solves);
     let queue_depth = stats.max_queue_depth;

@@ -51,10 +51,10 @@ pub mod timeline;
 
 pub use attrib::{attribute, AttributionReport, ClientAttribution};
 pub use metrics::{names, Histogram, MetricsRegistry, DEPTH_BUCKETS, SIM_SECONDS_BUCKETS};
-pub use perfetto::{chrome_trace, control_events, engine_events, merged_chrome_trace, TraceEvent};
+pub use perfetto::{chrome_trace, merged_chrome_trace};
 pub use recorder::{global as recorder, ObsRecord, Recorder, Track};
 pub use timeline::{
-    series, Interp, QuantileTrack, Sample, TimeSeries, TimelineStore, WindowStat,
+    series, Interp, QuantileTrack, Sample, TimeSeries, TimelineBatch, TimelineStore, WindowStat,
     WindowedAggregator,
 };
 

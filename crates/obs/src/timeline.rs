@@ -552,6 +552,79 @@ struct StoreInner {
     dropped_names: u64,
 }
 
+impl StoreInner {
+    fn push_span(&mut self, name: &str, t: f64, dur: f64, v: f64) {
+        if let Some(series) = self.series.get_mut(name) {
+            series.push_span(t, dur, v);
+        } else if self.series.len() >= STORE_NAME_CAPACITY {
+            self.dropped_names += 1;
+        } else {
+            let mut series = TimeSeries::default();
+            series.push_span(t, dur, v);
+            self.series.insert(name.to_string(), series);
+        }
+    }
+
+    fn observe(&mut self, name: &str, v: f64) {
+        if let Some(track) = self.quantiles.get_mut(name) {
+            track.observe(v);
+        } else if self.quantiles.len() >= STORE_NAME_CAPACITY {
+            self.dropped_names += 1;
+        } else {
+            let mut track = QuantileTrack::default();
+            track.observe(v);
+            self.quantiles.insert(name.to_string(), track);
+        }
+    }
+}
+
+/// Timeline samples gathered without the store's lock and applied by one
+/// [`TimelineStore::apply`] call, in the order they were added — so the
+/// store ends up exactly as if each had been pushed on its own, name-cap
+/// and dropped-sample accounting included. Names are registered once per
+/// batch and referred to by id.
+#[derive(Debug, Default)]
+pub struct TimelineBatch {
+    names: Vec<String>,
+    ops: Vec<BatchOp>,
+}
+
+#[derive(Debug)]
+enum BatchOp {
+    Span {
+        name: usize,
+        t: f64,
+        dur: f64,
+        v: f64,
+    },
+    Quantile {
+        name: usize,
+        v: f64,
+    },
+}
+
+impl TimelineBatch {
+    pub fn new() -> Self {
+        TimelineBatch::default()
+    }
+
+    /// Registers a series or quantile-track name; returns its id.
+    pub fn name(&mut self, name: impl Into<String>) -> usize {
+        self.names.push(name.into());
+        self.names.len() - 1
+    }
+
+    /// Queues a span sample for the series registered as `name`.
+    pub fn push_span(&mut self, name: usize, t: f64, dur: f64, v: f64) {
+        self.ops.push(BatchOp::Span { name, t, dur, v });
+    }
+
+    /// Queues an observation for the quantile track registered as `name`.
+    pub fn observe(&mut self, name: usize, v: f64) {
+        self.ops.push(BatchOp::Quantile { name, v });
+    }
+}
+
 /// The process-wide home of every timeline: named series and quantile
 /// tracks behind one mutex (feeding happens post-run, never on an engine
 /// hot path). Owned by the [`Recorder`](crate::Recorder) so `reset()` and
@@ -578,32 +651,26 @@ impl TimelineStore {
     /// Records a span sample into the named series, creating it on first
     /// use.
     pub fn series_push_span(&self, name: &str, t: f64, dur: f64, v: f64) {
-        self.with_inner(|inner| {
-            if !inner.series.contains_key(name) && inner.series.len() >= STORE_NAME_CAPACITY {
-                inner.dropped_names += 1;
-                return;
-            }
-            inner
-                .series
-                .entry(name.to_string())
-                .or_default()
-                .push_span(t, dur, v);
-        });
+        self.with_inner(|inner| inner.push_span(name, t, dur, v));
     }
 
     /// Records an observation into the named quantile track, creating it
     /// on first use.
     pub fn quantile_observe(&self, name: &str, v: f64) {
+        self.with_inner(|inner| inner.observe(name, v));
+    }
+
+    /// Applies every sample of `batch`, in order, under one lock.
+    pub fn apply(&self, batch: &TimelineBatch) {
         self.with_inner(|inner| {
-            if !inner.quantiles.contains_key(name) && inner.quantiles.len() >= STORE_NAME_CAPACITY {
-                inner.dropped_names += 1;
-                return;
+            for op in &batch.ops {
+                match *op {
+                    BatchOp::Span { name, t, dur, v } => {
+                        inner.push_span(&batch.names[name], t, dur, v)
+                    }
+                    BatchOp::Quantile { name, v } => inner.observe(&batch.names[name], v),
+                }
             }
-            inner
-                .quantiles
-                .entry(name.to_string())
-                .or_default()
-                .observe(v);
         });
     }
 
@@ -635,15 +702,14 @@ impl TimelineStore {
         self.with_inner(|inner| inner.quantiles.keys().cloned().collect())
     }
 
-    /// A canonically-sorted copy of every series (for the Perfetto
-    /// counter-track export).
-    pub fn series_snapshot(&self) -> Vec<(String, Vec<Sample>)> {
+    /// Calls `f` with every series' name and canonically sorted samples,
+    /// in name order, under one lock and without copying (the Perfetto
+    /// counter-track export streams from here).
+    pub(crate) fn visit_series(&self, mut f: impl FnMut(&str, &[Sample])) {
         self.with_inner(|inner| {
-            inner
-                .series
-                .iter_mut()
-                .map(|(name, series)| (name.clone(), series.samples().to_vec()))
-                .collect()
+            for (name, series) in inner.series.iter_mut() {
+                f(name, series.samples());
+            }
         })
     }
 
@@ -979,7 +1045,42 @@ mod tests {
     }
 
     #[test]
-    fn store_reads_and_snapshot() {
+    fn batch_apply_matches_individual_pushes_at_the_name_cap() {
+        // Fill the store to one below the name cap, then feed the same
+        // samples one by one and as one batch: the batch must land the
+        // same series, refuse the same names and count the same drops.
+        let fill = |store: &TimelineStore| {
+            for i in 0..STORE_NAME_CAPACITY - 1 {
+                store.series_push(&format!("s{i}"), 0.0, 1.0);
+            }
+        };
+        let (single, batched) = (TimelineStore::new(), TimelineStore::new());
+        fill(&single);
+        fill(&batched);
+        let mut batch = TimelineBatch::new();
+        let (a, b, q) = (batch.name("a"), batch.name("b"), batch.name("q"));
+        for k in 0..3 {
+            let t = (3 - k) as f64;
+            single.series_push_span("a", t, 1.0, 0.5);
+            single.series_push_span("b", t, 1.0, 0.25);
+            single.quantile_observe("q", t);
+            batch.push_span(a, t, 1.0, 0.5);
+            batch.push_span(b, t, 1.0, 0.25);
+            batch.observe(q, t);
+        }
+        single.series_push("a", f64::NAN, 1.0);
+        batch.push_span(a, f64::NAN, 0.0, 1.0);
+        batched.apply(&batch);
+        assert_eq!(batched.dropped_names(), 3, "`b` is refused once per sample");
+        assert_eq!(batched.with_series("a", |s| s.dropped()), Some(1));
+        assert_eq!(
+            serde_json::to_string(&batched.to_json()).unwrap(),
+            serde_json::to_string(&single.to_json()).unwrap()
+        );
+    }
+
+    #[test]
+    fn store_reads_and_visits() {
         let store = TimelineStore::new();
         store.series_push_span("util", 0.0, 2.0, 0.5);
         store.series_push_span("util", 2.0, 2.0, 1.0);
@@ -987,9 +1088,11 @@ mod tests {
         assert_eq!(store.with_series("util", |s| s.integral()), Some(3.0));
         assert_eq!(store.with_quantiles("lat", |q| q.p50()), Some(Some(3.0)));
         assert_eq!(store.with_series("missing", |s| s.integral()), None);
-        let snapshot = store.series_snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(snapshot[0].1.len(), 2);
+        let mut visited = Vec::new();
+        store.visit_series(|name, samples| visited.push((name.to_string(), samples.to_vec())));
+        assert_eq!(visited.len(), 1);
+        assert_eq!(visited[0].0, "util");
+        assert_eq!(visited[0].1.len(), 2);
         assert_eq!(store.quantile_names(), vec!["lat".to_string()]);
     }
 }

@@ -213,3 +213,203 @@ fn attribution_components_close_the_slowdown_identity() {
         );
     }
 }
+
+/// FNV-1a 64 over an export's bytes: the golden pin below compares
+/// `(digest, length)` pairs so a rewrite of any exporter must reproduce
+/// the exact bytes, not just an equivalent document.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A seeded MPS run with an event log, one contained client fault and a
+/// later server crash, with labels that need JSON escaping.
+fn golden_run() -> mpshare::gpusim::RunResult {
+    use mpshare::gpusim::FaultPlan;
+    let d = device();
+    let mut ids = IdAllocator::new();
+    let mut programs: Vec<_> = [
+        WorkflowSpec::uniform(BenchmarkKind::Kripke, ProblemSize::X1, 6),
+        WorkflowSpec::uniform(BenchmarkKind::AthenaPk, ProblemSize::X4, 2),
+        WorkflowSpec::uniform(BenchmarkKind::Kripke, ProblemSize::X1, 6),
+        WorkflowSpec::uniform(BenchmarkKind::Kripke, ProblemSize::X1, 6),
+    ]
+    .iter()
+    .map(|w| w.to_client_program(&d, &mut ids).unwrap())
+    .collect();
+    programs[0].label = "kripke \"x1\"\\\n\ttab\u{1}\u{1f}é→".to_string();
+    programs[2].tasks[0].label = "athena\r\u{8}\u{c}/pk".to_string();
+    let mut faults = FaultPlan::new();
+    faults.push_client_fault(Seconds::new(0.5), 3);
+    faults.push_domain_fault(Seconds::new(6.0), 0);
+    let config = EngineConfig::new(d, SharingMode::mps_uniform(4))
+        .with_event_log(true)
+        .with_fault_plan(faults);
+    let result = Engine::new(config, programs).unwrap().run().unwrap();
+    assert!(result.clients.iter().filter(|c| c.failed).count() >= 2);
+    assert!(result
+        .events
+        .events()
+        .iter()
+        .any(|e| matches!(e.kind, mpshare::gpusim::EventKind::ServerCrash { .. })));
+    result
+}
+
+/// Control records covering every shape the merged export renders:
+/// simulated-time spans and instants, offline (sequence-timestamped)
+/// records, nested and null payloads, and names that need escaping.
+fn golden_records() -> Vec<obs::ObsRecord> {
+    let record = |seq, track, name: &str, sim_start, sim_dur, payload| obs::ObsRecord {
+        seq,
+        track,
+        name: name.to_string(),
+        sim_start,
+        sim_dur,
+        payload,
+    };
+    vec![
+        record(
+            0,
+            obs::Track::Planner,
+            "plan.candidate",
+            None,
+            None,
+            serde_json::json!({
+                "accepted": true,
+                "groups": [[0, 2], [1]],
+                "score": {"throughput": 1.25, "energy": -0.5, "bound": null},
+                "note": "quote \" back\\slash\nnewline",
+            }),
+        ),
+        record(
+            1,
+            obs::Track::Scheduler,
+            "sched.dispatch",
+            Some(1.5),
+            Some(2.25),
+            serde_json::json!({"queue_depth": 3u64, "wait_s": 0.1, "empty": {}, "none": []}),
+        ),
+        record(
+            2,
+            obs::Track::Daemon,
+            "daemon \"spawn\"\t",
+            Some(0.5),
+            None,
+            serde_json::Value::Null,
+        ),
+        record(
+            3,
+            obs::Track::Executor,
+            "exec.leg",
+            Some(1e-7),
+            Some(0.0),
+            serde_json::json!([1, -2, 3.5e20, 1e-9, f64::NAN]),
+        ),
+        record(
+            17,
+            obs::Track::Planner,
+            "plan.offline",
+            None,
+            Some(0.75),
+            serde_json::json!({"nested": {"deeper": {"k": "v"}}}),
+        ),
+    ]
+}
+
+/// A private timeline store fed from the golden run: device and
+/// per-client spans, a point series, an all-dropped (empty) series, an
+/// escaped series name and exact quantile tracks.
+fn golden_timelines(result: &mpshare::gpusim::RunResult) -> obs::TimelineStore {
+    let store = obs::TimelineStore::new();
+    for s in result.telemetry.segments() {
+        let (t, dur) = (s.start.value(), s.duration().value());
+        store.series_push_span(obs::series::DEVICE_SM_UTIL, t, dur, s.sm_util);
+        store.series_push_span(obs::series::DEVICE_POWER_W, t, dur, s.power.watts());
+    }
+    for (i, c) in result.clients.iter().enumerate() {
+        let start = c.started.value();
+        let dur = (c.finished.value() - start).max(0.0);
+        store.series_push_span(&obs::series::client(&c.label, "resident"), start, dur, 1.0);
+        store.series_push(obs::series::SCHED_QUEUE_DEPTH, start, i as f64);
+        if !c.failed {
+            store.quantile_observe(obs::series::CLIENT_TURNAROUND, c.finished.value());
+        }
+        store.quantile_observe("lat \"q\"", c.finished.value() / 3.0);
+    }
+    store.series_push("nan.only", f64::NAN, 1.0);
+    store.quantile_observe("empty.track", f64::INFINITY);
+    store
+}
+
+fn golden_metrics(result: &mpshare::gpusim::RunResult) -> obs::MetricsRegistry {
+    let m = obs::MetricsRegistry::new();
+    m.register_defaults();
+    m.counter_add(obs::names::ENGINE_RUNS, 1);
+    m.counter_add(obs::names::TASKS_COMPLETED, result.tasks_completed as u64);
+    m.counter_add(obs::names::TASKS_FAILED, result.tasks_failed as u64);
+    m.gauge_add(obs::names::ENGINE_SIM_SECONDS, result.makespan.value());
+    m.gauge_set(obs::names::GOODPUT, 1.0 / 3.0);
+    m.gauge_set("mpshare_negative_gauge", -2.5e-12);
+    for c in &result.clients {
+        m.histogram_observe(
+            obs::names::GROUP_MAKESPAN_SECONDS,
+            &obs::SIM_SECONDS_BUCKETS,
+            c.finished.value(),
+        );
+    }
+    m.histogram_observe(obs::names::QUEUE_DEPTH, &obs::DEPTH_BUCKETS, f64::NAN);
+    m
+}
+
+/// Golden-bytes pin for every export: the merged trace (engine pids 0–2,
+/// control tracks, timeline counters), the engine-only trace, the
+/// timeline store (compact and pretty), and the metrics registry (JSON
+/// and Prometheus). `make trace-smoke` compares two runs of the same
+/// build; this pins the bytes across builds, so an exporter rewrite must
+/// reproduce them exactly. Uses only private recorders, stores and
+/// registries, so it cannot race the global-recorder test above.
+#[test]
+fn exports_match_golden_bytes() {
+    let result = golden_run();
+    let records = golden_records();
+    let timelines = golden_timelines(&result);
+    let metrics = golden_metrics(&result);
+    let exports = [
+        (
+            "merged_chrome_trace_with_timelines",
+            obs::perfetto::merged_chrome_trace_with_timelines(Some(&result), &records, &timelines),
+        ),
+        ("chrome_trace", obs::chrome_trace(&result)),
+        (
+            "timeline to_string",
+            serde_json::to_string(&timelines.to_json()).unwrap(),
+        ),
+        (
+            "timeline to_string_pretty",
+            serde_json::to_string_pretty(&timelines.to_json()).unwrap(),
+        ),
+        (
+            "metrics to_string_pretty",
+            serde_json::to_string_pretty(&metrics.to_json()).unwrap(),
+        ),
+        ("metrics to_prometheus", metrics.to_prometheus()),
+    ];
+    let got: Vec<(&str, u64, usize)> = exports
+        .iter()
+        .map(|(name, doc)| (*name, fnv1a(doc.as_bytes()), doc.len()))
+        .collect();
+    let pinned: [(&str, u64, usize); 6] = [
+        (
+            "merged_chrome_trace_with_timelines",
+            0xd068467fe534efe4,
+            31209,
+        ),
+        ("chrome_trace", 0x0ca16a51fd9f723f, 20937),
+        ("timeline to_string", 0x893f6d474b0b267f, 5929),
+        ("timeline to_string_pretty", 0xc49c22557e441b83, 12088),
+        ("metrics to_string_pretty", 0x0dad7fa86791a39d, 3479),
+        ("metrics to_prometheus", 0x375cb62ff75d8137, 4864),
+    ];
+    assert_eq!(got, pinned);
+}
