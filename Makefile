@@ -6,12 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke component-smoke clean
+.PHONY: check build test test-all vendor-test fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke component-smoke results-smoke clean
 
-# The full tier-1 gate: release build, tests, formatting, lints, the
-# allocation gate, the fault-, trace-, fuzz-, and component-core smoke
-# runs, and the bench regression gate.
-check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke component-smoke bench-gate
+# The full tier-1 gate: release build, tests, the vendored JSON writer's
+# differential tests, formatting, lints, the allocation gate, the fault-,
+# trace-, fuzz-, component-core and results smoke runs, and the bench
+# regression gate.
+check: build test vendor-test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke component-smoke results-smoke bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -26,6 +27,14 @@ test:
 # Every crate in the workspace, including the vendored-stand-in consumers.
 test-all:
 	$(CARGO) test -q --workspace
+
+# The vendored stand-ins sit outside the workspace, so neither `test` nor
+# `test-all` runs their unit tests. serde_json's number writer is checked
+# there byte for byte against `core::fmt` over ~3M seeded floats, and its
+# compile-time power-of-5 tables against a bignum regeneration. Release
+# mode keeps the differential runs short.
+vendor-test:
+	$(CARGO) test -q --release -p serde_json
 
 fmt:
 	$(CARGO) fmt --check
@@ -153,6 +162,18 @@ component-smoke: build
 	$(CARGO) test -q --release --test alloc_gate component_core_steady_state_is_alloc_free
 	$(CARGO) test -q --release --test component_core
 	@echo "component-core smoke gate passed"
+
+# Results smoke gate: every committed artifact under results/ (all paper
+# tables and figures, the extensions, and the SLO/goodput report) must be
+# regenerated byte for byte by `all --serial` plus `report --serial`. It
+# pins every number the JSON/CSV/text writers print.
+results-smoke: build
+	@rm -rf .results-smoke
+	./target/release/mpshare-repro all --serial --out .results-smoke >/dev/null
+	./target/release/mpshare-repro report --serial --out .results-smoke >/dev/null
+	diff -r results .results-smoke
+	@rm -rf .results-smoke
+	@echo "results smoke gate passed"
 
 clean:
 	$(CARGO) clean

@@ -1,8 +1,8 @@
 //! Raw simulator and plan-search performance: contention-solver scaling
 //! with client count, end-to-end engine event throughput (including a
 //! gap-heavy run that stresses the resident-set rate cache), exhaustive
-//! planning at n = 10, annealing on an online-arrival-style queue, and
-//! memoized vs from-scratch plan scoring.
+//! planning at n = 10, annealing on an online-arrival-style queue,
+//! memoized vs from-scratch plan scoring, and the obs export layer.
 //!
 //! `make bench` runs this with `MPSHARE_BENCH_JSON` set, committing the
 //! per-scenario medians to `BENCH_engine.json`.
@@ -17,7 +17,7 @@ use mpshare_gpusim::{
     LaunchConfig, PreparedContender, SharingMode, SolveScratch, TaskProgram, ValidatedPrograms,
 };
 use mpshare_profiler::ProfileStore;
-use mpshare_types::{Fraction, MemBytes, Seconds, TaskId};
+use mpshare_types::{Fraction, IdAllocator, MemBytes, Seconds, TaskId};
 use mpshare_workloads::QueueGenerator;
 use std::hint::black_box;
 
@@ -373,6 +373,50 @@ fn bench_timeline_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The obs export layer: one recorded, seeded MPS run (event log on)
+/// exported as the timeline JSON plus the merged Perfetto trace with the
+/// timeline counter tracks, the two exports an observed online stream
+/// writes. Almost all of it is number formatting.
+fn bench_obs_export(c: &mut Criterion) {
+    let device = DeviceSpec::a100x();
+    let mut generator = QueueGenerator::new(7);
+    generator.weights[1] = 0.0; // Epsilon, as in `profiled_queue`
+    generator.weights[6] = 0.0; // WarpX
+    let mut ids = IdAllocator::new();
+    let programs: Vec<ClientProgram> = generator
+        .sample_queue(8)
+        .iter()
+        .map(|w| w.to_client_program(&device, &mut ids).unwrap())
+        .collect();
+    let runner = mpshare_mps::GpuRunner::new(device).with_event_log(true);
+    mpshare_obs::timelines().reset();
+    mpshare_obs::set_enabled(true);
+    let result = runner
+        .run(
+            &mpshare_mps::GpuSharing::mps_default(programs.len()),
+            programs,
+        )
+        .unwrap();
+    mpshare_obs::set_enabled(false);
+    let records = mpshare_obs::recorder().drain();
+    let timelines = mpshare_obs::timelines();
+
+    let mut group = c.benchmark_group("obs");
+    group.bench_function("export", |b| {
+        b.iter(|| {
+            let timeline = serde_json::to_string(&timelines.to_json()).unwrap();
+            let trace = mpshare_obs::perfetto::merged_chrome_trace_with_timelines(
+                Some(&result),
+                &records,
+                timelines,
+            );
+            black_box(timeline.len() + trace.len())
+        })
+    });
+    group.finish();
+    timelines.reset();
+}
+
 criterion_group!(
     benches,
     bench_solver,
@@ -381,6 +425,7 @@ criterion_group!(
     bench_plan_search,
     bench_warm_planner,
     bench_recorder_overhead,
-    bench_timeline_overhead
+    bench_timeline_overhead,
+    bench_obs_export
 );
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 /// Canonical metric names. Instrumentation sites and the trace-smoke
@@ -292,28 +293,34 @@ impl MetricsRegistry {
     /// Prometheus text exposition (version 0.0.4). Deterministic: metric
     /// families render in name order, floats in shortest-roundtrip form.
     pub fn to_prometheus(&self) -> String {
-        let inner = self.inner.lock().expect("metrics poisoned");
         let mut out = String::new();
+        self.write_prometheus(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_prometheus(&self, out: &mut String) -> fmt::Result {
+        let inner = self.inner.lock().expect("metrics poisoned");
         for (name, value) in &inner.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+            writeln!(out, "# TYPE {name} counter\n{name} {value}")?;
         }
         for (name, value) in &inner.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
+            writeln!(out, "# TYPE {name} gauge\n{name} {value}")?;
         }
         for (name, h) in &inner.histograms {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
+            writeln!(out, "# TYPE {name} histogram")?;
             for (le, c) in h.cumulative() {
                 if le.is_infinite() {
-                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {c}\n"));
+                    writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {c}")?;
                 } else {
-                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {c}\n"));
+                    writeln!(out, "{name}_bucket{{le=\"{le}\"}} {c}")?;
                 }
             }
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-            out.push_str(&format!("{name}_dropped {}\n", h.dropped()));
+            writeln!(out, "{name}_sum {}", h.sum())?;
+            writeln!(out, "{name}_count {}", h.count())?;
+            writeln!(out, "{name}_dropped {}", h.dropped())?;
         }
-        out
+        Ok(())
     }
 
     /// JSON export: `{"counters": {...}, "gauges": {...},

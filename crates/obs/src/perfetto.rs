@@ -19,8 +19,8 @@
 use crate::recorder::{ObsRecord, Track};
 use crate::timeline::TimelineStore;
 use mpshare_gpusim::{EventKind, RunResult};
-use serde_json::{write_f64, write_str, write_value, Value};
-use std::fmt::Write as _;
+use mpshare_types::TaskId;
+use serde_json::{write_f64, write_str, write_u64, write_value, Value};
 
 /// The pid of the timeline-store counter tracks in the merged export
 /// (pids 0–2 are the engine timeline, 3–6 the control-plane tracks).
@@ -80,7 +80,10 @@ impl TraceWriter {
             out.push_str(",\"dur\":");
             write_f64(out, dur);
         }
-        write!(out, ",\"pid\":{pid},\"tid\":{tid}").expect("writing to a String cannot fail");
+        out.push_str(",\"pid\":");
+        write_u64(out, pid);
+        out.push_str(",\"tid\":");
+        write_u64(out, tid);
         out
     }
 
@@ -128,7 +131,7 @@ impl TraceWriter {
 
         // Task spans, reconstructed from completion times: a task occupies
         // the client from its predecessor's completion (or the client's
-        // start). Task ids display as `task<n>`, which needs no escaping.
+        // start).
         for (i, client) in result.clients.iter().enumerate() {
             let mut cursor = client.started;
             for completion in &client.completions {
@@ -140,8 +143,7 @@ impl TraceWriter {
                     1,
                     i as u64,
                 );
-                write!(out, ",\"args\":{{\"task\":\"{}\"}}", completion.task)
-                    .expect("writing to a String cannot fail");
+                write_task_args(out, completion.task);
                 self.close(None, None);
                 cursor = completion.at;
             }
@@ -168,7 +170,9 @@ impl TraceWriter {
         let mut name = String::new();
         for (client, task, kernel_index, start, end) in result.events.kernel_spans() {
             name.clear();
-            write!(name, "\"kernel {kernel_index}\"").expect("writing to a String cannot fail");
+            name.push_str("\"kernel ");
+            write_u64(&mut name, kernel_index as u64);
+            name.push('"');
             let out = self.span(
                 &name,
                 start.value() * SECONDS_TO_US,
@@ -176,8 +180,7 @@ impl TraceWriter {
                 2,
                 client as u64,
             );
-            write!(out, ",\"args\":{{\"task\":\"{task}\"}}")
-                .expect("writing to a String cannot fail");
+            write_task_args(out, task);
             self.close(None, None);
         }
 
@@ -193,8 +196,9 @@ impl TraceWriter {
                 _ => continue,
             };
             let out = self.open(name, "i", event.at.value() * SECONDS_TO_US, None, pid, tid);
-            write!(out, ",\"args\":{{\"origin\":{origin}}}")
-                .expect("writing to a String cannot fail");
+            out.push_str(",\"args\":{\"origin\":");
+            write_u64(out, origin as u64);
+            out.push('}');
             self.close(Some("terrible"), Some(scope));
         }
 
@@ -279,6 +283,14 @@ impl TraceWriter {
             tid += 1;
         });
     }
+}
+
+/// `,"args":{"task":"task<n>"}`: the task id in its `Display` form
+/// (`TaskId`'s `task` prefix), which needs no escaping.
+fn write_task_args(out: &mut String, task: TaskId) {
+    out.push_str(",\"args\":{\"task\":\"task");
+    write_u64(out, task.raw());
+    out.push_str("\"}");
 }
 
 /// `s` as a quoted, escaped JSON string.
