@@ -6,13 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all vendor-test fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke component-smoke results-smoke clean
+.PHONY: check build test test-all vendor-test fmt clippy doc alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke results-smoke clean
 
-# The full tier-1 gate: release build, tests, the vendored JSON writer's
-# differential tests, formatting, lints, the allocation gate, the fault-,
-# trace-, fuzz-, component-core and results smoke runs, and the bench
-# regression gate.
-check: build test vendor-test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke component-smoke results-smoke bench-gate
+# The full tier-1 gate: release build, every workspace crate's tests, the
+# vendored JSON writer's differential tests, formatting, lints, rustdoc,
+# the allocation gate, the fault-, trace-, fuzz- and results smoke runs,
+# and the bench regression gate.
+check: build test-all vendor-test fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke results-smoke bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -41,6 +41,11 @@ fmt:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: broken, private or ambiguous intra-doc links fail the
+# build, so docs cannot keep naming items that were renamed or deleted.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 # Allocation gate (tests/alloc_gate.rs): a counting global allocator
 # proves the steady-state engine contract (zero heap allocations per
@@ -152,16 +157,6 @@ fuzz-smoke: build
 	./target/release/mpshare-fuzz zoo configs/zoo
 	@rm -rf .fuzz-smoke
 	@echo "fuzz smoke gate passed"
-
-# Component-core smoke gate: the component/tick-heap core (`SimCore`)
-# drives only compositions, so this gate runs what a composition runs:
-# the zero-alloc steady-state contract must hold with one `GpuComponent`
-# driven through `SimCore`, and the two-GPU + interconnect composition
-# must run end-to-end with each GPU bit-identical to its solo run.
-component-smoke: build
-	$(CARGO) test -q --release --test alloc_gate component_core_steady_state_is_alloc_free
-	$(CARGO) test -q --release --test component_core
-	@echo "component-core smoke gate passed"
 
 # Results smoke gate: every committed artifact under results/ (all paper
 # tables and figures, the extensions, and the SLO/goodput report) must be

@@ -421,14 +421,13 @@ impl ClientColumns {
 
 /// Reusable engine buffers, recycled across runs.
 ///
-/// [`Engine::new_reusing`] moves these buffers into the engine (clearing
-/// and re-sizing them for the new client roster) and
-/// [`Engine::run_reusing`] hands them back when the run completes, so a
+/// [`Engine::new_prevalidated`] moves these buffers into the engine
+/// (clearing and re-sizing them for the new client roster) and
+/// [`Engine::run_recycling`] hands them back when the run completes, so a
 /// sweep or benchmark that simulates many rosters back to back performs
 /// no per-run buffer allocation beyond the results it keeps
 /// ([`RunResult`] owns its telemetry, completions and failures). A
-/// default-constructed scratch is empty; `Engine::new` is
-/// `new_reusing` with one.
+/// default-constructed scratch is empty; `Engine::new` builds with one.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     cols: ClientColumns,
@@ -533,15 +532,6 @@ pub struct Engine {
     /// Static arrival events, sorted by (time, client).
     arrivals: MonotoneEventQueue,
     max_queue_depth: u64,
-    /// Time step planned by the last [`Engine::next_tick`], consumed by the
-    /// matching [`Engine::tick_to`]. Stored rather than recomputed from the
-    /// heap's absolute time so the apply side uses the exact `dt` the plan
-    /// derived (a `t - now` round-trip is not bit-identical). NaN = no
-    /// outstanding plan.
-    planned_dt: f64,
-    /// Whether the planned horizon is a time-slice quantum expiry (set by
-    /// the plan, consumed by the apply's end-of-step rotation).
-    planned_quantum_event: bool,
 }
 
 /// Hot-path counters from one engine run (see [`Engine::run_with_stats`]).
@@ -561,33 +551,24 @@ pub struct EngineStats {
 }
 
 impl Engine {
-    /// Builds an engine for the given client programs. Validates programs
-    /// against the device, the partition list length, and the MPS client
-    /// limit.
+    /// Builds an engine for the given client programs. Validates the device,
+    /// every program against it, the partition list length, and the MPS
+    /// client limit.
     pub fn new(config: EngineConfig, programs: Vec<ClientProgram>) -> Result<Self> {
-        Self::new_reusing(config, programs, EngineScratch::default())
-    }
-
-    /// [`Engine::new`] with recycled buffers from a previous run (see
-    /// [`EngineScratch`]). Behaviour is bit-identical to a fresh engine:
-    /// every buffer is cleared and re-initialized; only capacity survives.
-    pub fn new_reusing(
-        config: EngineConfig,
-        programs: Vec<ClientProgram>,
-        scratch: EngineScratch,
-    ) -> Result<Self> {
         let device = config.device.clone().validated()?;
         for p in &programs {
             p.validate(&device)?;
         }
-        Self::build(config, device, programs, scratch)
+        Self::build(config, device, programs, EngineScratch::default())
     }
 
-    /// [`Engine::new_reusing`] for a roster validated ahead of time (see
-    /// [`ValidatedPrograms`]): skips the per-kernel validation walk, which
+    /// [`Engine::new`] for a roster validated ahead of time (see
+    /// [`ValidatedPrograms`]), with recycled buffers from a previous run
+    /// (see [`EngineScratch`]). Skips the per-kernel validation walk, which
     /// dominates construction for large rosters. The roster must have been
     /// validated against this config's device — a mismatch is an error, not
-    /// a silent trust.
+    /// a silent trust. Behaviour is bit-identical to a fresh engine: every
+    /// buffer is cleared and re-initialized; only capacity survives.
     pub fn new_prevalidated(
         config: EngineConfig,
         roster: ValidatedPrograms,
@@ -755,8 +736,6 @@ impl Engine {
             seq_head: 0,
             arrivals,
             max_queue_depth: 0,
-            planned_dt: f64::NAN,
-            planned_quantum_event: false,
         })
     }
 
@@ -766,8 +745,8 @@ impl Engine {
     }
 
     /// Marks the resident kernel set (or the GPU's drain state during a
-    /// context switch) as changed: the next [`Engine::next_tick`] must
-    /// re-solve rates and power.
+    /// context switch) as changed: the next [`Engine::step`] must re-solve
+    /// rates and power.
     fn bump_epoch(&mut self) {
         self.resident_epoch += 1;
     }
@@ -859,27 +838,16 @@ impl Engine {
 
     /// Like [`Engine::run`], but also returns the hot-path counters —
     /// useful for asserting that the rate cache actually skips re-solves.
-    ///
-    /// A lone engine is driven by [`Engine::step`] in a loop; the global
-    /// tick heap ([`crate::component::SimCore`]) is only for compositions
-    /// of several components.
     pub fn run_with_stats(mut self) -> Result<(RunResult, EngineStats)> {
         while self.step()? {}
         Ok(self.build_result())
     }
 
-    /// Like [`Engine::run_with_stats`], but also hands the internal
-    /// buffers back for the next [`Engine::new_reusing`].
-    pub fn run_reusing(self) -> Result<(RunResult, EngineStats, EngineScratch)> {
-        let (result, stats, _roster, scratch) = self.run_recycling()?;
-        Ok((result, stats, scratch))
-    }
-
-    /// Like [`Engine::run_reusing`], but additionally hands back the
-    /// (immutable, still-valid) client roster for the next
-    /// [`Engine::new_prevalidated`]. The steady-state replay loop —
-    /// roster and scratch round-tripping through each run — constructs
-    /// engines with no program clone and no re-validation.
+    /// Like [`Engine::run_with_stats`], but also hands back the (immutable,
+    /// still-valid) client roster and the internal buffers for the next
+    /// [`Engine::new_prevalidated`]. The steady-state replay loop — roster
+    /// and scratch round-tripping through each run — constructs engines
+    /// with no program clone, no re-validation and no buffer allocation.
     pub fn run_recycling(
         mut self,
     ) -> Result<(RunResult, EngineStats, ValidatedPrograms, EngineScratch)> {
@@ -936,35 +904,10 @@ impl Engine {
     /// once every client is terminal. [`Engine::run`] is this in a loop;
     /// it is public so harnesses (the allocation gate, debuggers) can
     /// drive and observe the engine stepwise.
-    ///
-    /// `step` is exactly the component protocol inlined — one
-    /// [`Engine::next_tick`] plan immediately consumed by its
-    /// [`Engine::tick_to`] — so driving the engine through the global tick
-    /// heap executes the identical operation sequence.
     pub fn step(&mut self) -> Result<bool> {
-        match self.next_tick()? {
-            None => Ok(false),
-            Some(t) => {
-                self.tick_to(t)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Component-protocol plan half (see [`crate::component::Component`]):
-    /// drains zero-cost transitions at the current time and, unless every
-    /// client is terminal, plans the next event horizon. Returns the
-    /// absolute time of the engine's next internal event, or `None` when
-    /// the run is complete. The matching [`Engine::tick_to`] must be called
-    /// (with the returned time) before the next `next_tick`.
-    pub fn next_tick(&mut self) -> Result<Option<f64>> {
-        debug_assert!(
-            self.planned_dt.is_nan(),
-            "next_tick called with an unconsumed plan"
-        );
         self.process_transitions()?;
         if self.terminated_count == self.programs.len() {
-            return Ok(None);
+            return Ok(false);
         }
         self.events += 1;
         if self.events > self.config.max_events {
@@ -973,49 +916,9 @@ impl Engine {
                 detail: format!("exceeded {} events", self.config.max_events),
             });
         }
-        let dt = self.plan_advance()?;
-        self.planned_dt = dt;
-        Ok(Some(self.now + dt))
-    }
-
-    /// Component-protocol apply half: advances simulated time to `now` (the
-    /// horizon the preceding [`Engine::next_tick`] returned), integrating
-    /// telemetry, progress, energy and countdowns over the planned step.
-    pub fn tick_to(&mut self, now: f64) -> Result<()> {
-        let dt = self.planned_dt;
-        debug_assert!(!dt.is_nan(), "tick_to without a preceding next_tick plan");
-        debug_assert!(
-            now == self.now + dt,
-            "tick_to horizon {now} does not match the planned {}",
-            self.now + dt
-        );
-        self.planned_dt = f64::NAN;
-        self.apply_advance(dt)
-    }
-
-    /// Task completions recorded so far across all clients — the outbox
-    /// source for component compositions (a GPU component emits one
-    /// interconnect transfer per newly completed task).
-    pub fn tasks_completed_so_far(&self) -> usize {
-        self.cols.completions.iter().map(|c| c.len()).sum()
-    }
-
-    /// Whether every client has reached a terminal phase.
-    pub fn is_finished(&self) -> bool {
-        self.terminated_count == self.programs.len()
-    }
-
-    /// Finalizes a completed run into its result and counters — the
-    /// component-composition endpoint (a [`crate::component::Composition`]
-    /// drives engines through the shared heap, then collects each one
-    /// here). Errors if any client is still live.
-    pub fn into_result(mut self) -> Result<(RunResult, EngineStats)> {
-        if !self.is_finished() {
-            return Err(Error::InvalidConfig(
-                "into_result called before the run completed".into(),
-            ));
-        }
-        Ok(self.build_result())
+        let (dt, quantum_event) = self.plan_advance()?;
+        self.apply_advance(dt, quantum_event)?;
+        Ok(true)
     }
 
     /// Assembles the [`RunResult`] and counters after the step loop ends.
@@ -1597,10 +1500,10 @@ impl Engine {
     }
 
     /// Plans the next time step: refreshes the rate/power solution and
-    /// derives the time to the next event horizon (the plan half of the
-    /// component protocol — no state other than the solution cache, the
-    /// depth counter and `planned_quantum_event` is mutated).
-    fn plan_advance(&mut self) -> Result<f64> {
+    /// returns the time to the next event horizon, and whether that horizon
+    /// is a time-slice quantum expiry. No state other than the solution
+    /// cache and the depth counter is mutated.
+    fn plan_advance(&mut self) -> Result<(f64, bool)> {
         // Rates/power are a pure function of the resident set (plus the
         // fixed device, partitions and overheads), so between resident-set
         // epochs the cached solution is exact — same inputs, same
@@ -1687,18 +1590,15 @@ impl Engine {
             });
         }
 
-        self.planned_quantum_event = quantum_event;
-        Ok(dt)
+        Ok((dt, quantum_event))
     }
 
-    /// Applies a planned time step: integrates telemetry/progress/energy,
-    /// decrements countdowns, advances `now` by `dt`, delivers arrivals and
-    /// rotates the time-slice on a planned quantum expiry (the apply half
-    /// of the component protocol).
-    fn apply_advance(&mut self, dt: f64) -> Result<()> {
+    /// Applies the step [`Engine::plan_advance`] planned: integrates
+    /// telemetry/progress/energy, decrements countdowns, advances `now` by
+    /// `dt`, delivers arrivals and rotates the time-slice when
+    /// `quantum_event` marks a quantum expiry.
+    fn apply_advance(&mut self, dt: f64, quantum_event: bool) -> Result<()> {
         let pstate = self.solved_pstate;
-        let quantum_event = self.planned_quantum_event;
-        self.planned_quantum_event = false;
 
         // Throttle transition events.
         if pstate.capped != self.was_capped {
@@ -1852,6 +1752,26 @@ mod tests {
         let config = EngineConfig::new(other, SharingMode::mps_uniform(1));
         let err = Engine::new_prevalidated(config, roster, EngineScratch::new());
         assert!(err.is_err(), "device mismatch must not be trusted");
+    }
+
+    #[test]
+    fn new_validates_every_program_against_the_device() {
+        let ok = one_task_client("ok", 0, vec![kernel(1.0, 0.5, 0.1, 0.0)]);
+        let config = EngineConfig::new(dev(), SharingMode::mps_uniform(2));
+
+        let empty = ClientProgram::new("empty");
+        match Engine::new(config.clone(), vec![ok.clone(), empty]) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("no tasks"), "{msg}"),
+            other => panic!("a client with no tasks must be rejected, got {other:?}"),
+        }
+
+        let mut huge = kernel(1.0, 0.5, 0.1, 0.0);
+        huge.launch.shared_mem_per_block = 10 << 20;
+        let unhostable = one_task_client("huge", 1, vec![huge]);
+        match Engine::new(config, vec![ok, unhostable]) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("cannot fit"), "{msg}"),
+            other => panic!("a kernel the device cannot host must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //!   re-solves, kernel boundaries, telemetry segments, timer churn —
 //!   touches no heap. The only allowed allocations are the per-client
 //!   task-completion records (whose buffers were moved into the previous
-//!   run's result), so at most one allocating step per client. The same
-//!   bound holds with the engine wrapped in a `GpuComponent` and driven
-//!   through the component/tick-heap core (`SimCore`), as `Composition`
-//!   runs it.
+//!   run's result), so at most one allocating step per client.
 //! * **Warm planning allocates no more than cold planning.** A warm
 //!   [`Planner::plan_warm`] call — memo translation included — must not
 //!   out-allocate the cold `plan` call it replaces on the same queue.
@@ -24,7 +21,7 @@ use std::sync::Mutex;
 
 use mpshare::core::{MetricPriority, PlanWarmState, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare::gpusim::{
-    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode,
+    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode, ValidatedPrograms,
 };
 use mpshare::types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
 use mpshare::workloads::SyntheticSpec;
@@ -111,13 +108,14 @@ fn steady_state_advance_is_alloc_free() {
 
     // Warm-up run grows every scratch buffer to this roster's size and
     // records the telemetry segment count for the recycled run's hint.
-    let warm_up = Engine::new_reusing(gate_config(), gate_programs(), EngineScratch::new())
-        .unwrap()
-        .run_reusing()
-        .unwrap();
-    let (reference, _, scratch) = warm_up;
+    let roster = ValidatedPrograms::new(&gate_config().device, gate_programs()).unwrap();
+    let (reference, _, roster, scratch) =
+        Engine::new_prevalidated(gate_config(), roster, EngineScratch::new())
+            .unwrap()
+            .run_recycling()
+            .unwrap();
 
-    let mut engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
+    let mut engine = Engine::new_prevalidated(gate_config(), roster, scratch).unwrap();
     let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
     loop {
         let (more, allocs) = measured(|| engine.step().unwrap());
@@ -127,7 +125,7 @@ fn steady_state_advance_is_alloc_free() {
             break;
         }
     }
-    let (result, _stats, _scratch) = engine.run_reusing().unwrap();
+    let (result, ..) = engine.run_recycling().unwrap();
     assert_eq!(
         serde_json::to_string(&result).unwrap(),
         serde_json::to_string(&reference).unwrap(),
@@ -154,80 +152,6 @@ fn steady_state_advance_is_alloc_free() {
     assert!(
         total <= 2 * CLIENTS as u64,
         "steady-state run allocated {total} times (> {})",
-        2 * CLIENTS
-    );
-}
-
-/// The steady-state contract holds when the engine runs the way
-/// `Composition` runs it: wrapped in a `GpuComponent` (shipping nothing,
-/// `bytes_per_task` 0) and driven through the component/tick-heap core. A
-/// single-component `SimCore` pops and re-pushes one heap entry per tick
-/// (capacity 1, no stale accumulation), so `SimCore::step` adds zero
-/// allocations on top of the engine's own.
-#[test]
-fn component_core_steady_state_is_alloc_free() {
-    use mpshare::gpusim::{Component, GpuComponent, SimCore};
-
-    let _serial = GATE_LOCK.lock().unwrap();
-
-    let warm_up = Engine::new_reusing(gate_config(), gate_programs(), EngineScratch::new())
-        .unwrap()
-        .run_reusing()
-        .unwrap();
-    let (reference, _, scratch) = warm_up;
-
-    let engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
-    let mut gpu = GpuComponent::new(0, "gpu0".to_string(), engine, 1, 0.0);
-    let mut core = SimCore::new(1);
-    let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
-    {
-        let mut comps: [&mut dyn Component; 1] = [&mut gpu];
-        // The initial arm pass plans the first horizon (unmeasured, like
-        // the constructors above); every subsequent tick is measured.
-        core.arm_all(&mut comps).unwrap();
-        loop {
-            let (more, allocs) = measured(|| core.step(&mut comps).unwrap());
-            assert!(per_step.len() < per_step.capacity(), "step budget exceeded");
-            per_step.push(allocs);
-            if !more {
-                break;
-            }
-        }
-    }
-    assert_eq!(core.stats().max_heap_depth, 1);
-    assert_eq!(core.stats().ticks, per_step.len() as u64 - 1);
-
-    let outcome = gpu.finish().unwrap();
-    assert_eq!(
-        outcome.ticks,
-        core.stats().ticks,
-        "every heap tick must have been dispatched to the GPU"
-    );
-    assert_eq!(
-        outcome.ticks, outcome.stats.events,
-        "one heap tick per engine event"
-    );
-    assert_eq!(
-        serde_json::to_string(&outcome.result).unwrap(),
-        serde_json::to_string(&reference).unwrap(),
-        "component-core run must be bit-identical to the warm-up run"
-    );
-
-    if cfg!(debug_assertions) {
-        return;
-    }
-    let total: u64 = per_step.iter().sum();
-    let dirty_steps = per_step.iter().filter(|&&a| a > 0).count();
-    assert!(
-        dirty_steps <= CLIENTS,
-        "expected ≤ {CLIENTS} allocating steps (one completion push per \
-         client), found {dirty_steps} of {} (allocs per step: {:?})",
-        per_step.len(),
-        per_step.iter().filter(|&&a| a > 0).collect::<Vec<_>>()
-    );
-    assert!(
-        total <= 2 * CLIENTS as u64,
-        "component-core steady-state run allocated {total} times (> {})",
         2 * CLIENTS
     );
 }
