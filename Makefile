@@ -6,13 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all vendor-test fmt clippy doc alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke results-smoke clean
+.PHONY: check build test test-all vendor-test fmt clippy doc alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check clean
 
 # The full tier-1 gate: release build, every workspace crate's tests, the
 # vendored JSON writer's differential tests, formatting, lints, rustdoc,
 # the allocation gate, the fault-, trace-, fuzz- and results smoke runs,
-# and the bench regression gate.
-check: build test-all vendor-test fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke results-smoke bench-gate
+# the benchmark digest gate, and the bench regression gate.
+check: build test-all vendor-test fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -169,6 +169,26 @@ results-smoke: build
 	diff -r results .results-smoke
 	@rm -rf .results-smoke
 	@echo "results smoke gate passed"
+
+# Benchmark digest gate: `mpshare-perfbench --check` runs each workload's
+# held-out seed in parallel, serially and in parallel again, fails on any
+# disagreement, and prints one `digest` line folding every checked queue's
+# plan and simulated outputs. Those lines must equal the pinned
+# tests/golden/perfbench_digests.txt, so a change that moves any planned
+# or simulated result fails here. About 30 s on a 2-vCPU host.
+PERFBENCH_WORKLOADS := plan_exhaustive schedule_queue online_faults online_observed
+
+perfbench-check:
+	@rm -rf .perfbench-check
+	@mkdir -p .perfbench-check
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		$(CARGO) run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+			--check --workload $$w > .perfbench-check/$$w.txt || exit 1; \
+		grep '^digest ' .perfbench-check/$$w.txt >> .perfbench-check/digests.txt; \
+	done
+	grep -v '^#' tests/golden/perfbench_digests.txt | diff - .perfbench-check/digests.txt
+	@rm -rf .perfbench-check
+	@echo "perfbench digest gate passed"
 
 clean:
 	$(CARGO) clean

@@ -1,13 +1,16 @@
 //! Subset-keyed memo for [`GroupEstimate`]s.
 //!
-//! Every planner strategy and the annealer bottom out in
+//! The greedy, best-fit and annealing strategies bottom out in
 //! [`crate::estimate::estimate_group`] over a member list, and the same
-//! lists recur exponentially often: the exhaustive search re-visits each
-//! subset once per partition containing it, the best-fit cap sweep re-tries
-//! the same trial groups for every cap, and annealing re-scores the
-//! untouched groups of every proposal. [`EstimateMemo`] caches one estimate
-//! per *ordered* member list so each is computed exactly once per planning
-//! call.
+//! lists recur often within one planning call: the best-fit cap sweep
+//! re-tries the same trial groups for every cap, `Auto` re-scores both
+//! legs' groups, and annealing re-scores the untouched groups of every
+//! proposal. [`EstimateMemo`] caches one estimate per *ordered* member
+//! list so each is computed exactly once per planning call. The pruned
+//! exhaustive search does not use it: it reads every subset's estimate
+//! from one table built per call by subset DP (see
+//! [`crate::estimate::GroupFold`]); only its brute-force reference
+//! (`Planner::with_exhaustive_pruning(false)`) scores through the memo.
 //!
 //! # Key scheme and bit-identity
 //!
@@ -16,11 +19,11 @@
 //! the exact ordered list ([`GroupKey::Members`]) — except for strictly
 //! ascending lists over indices < 64, which are canonical (only one
 //! ascending order exists per set) and compress to a bitmask
-//! ([`GroupKey::Mask`]). The exhaustive planner's restricted-growth-string
-//! enumeration emits exactly such ascending lists, giving it the cheap
-//! `u64` key of the classic subset-DP formulation; greedy/best-fit/anneal
-//! lists in arbitrary order fall back to the hashed exact key. Either way
-//! a hit returns the value computed for the identical member order, so
+//! ([`GroupKey::Mask`]): every list the brute-force exhaustive
+//! enumeration emits, and any other group that happens to be sorted,
+//! takes the cheap `u64` key; lists in any other order fall back to the
+//! hashed exact key. Either way a hit
+//! returns the value computed for the identical member order, so
 //! memoized scoring is bit-identical to scoring from scratch.
 //!
 //! Sharding mirrors `mpshare_profiler::ProfileCache`: 16 `RwLock`ed hash
@@ -150,8 +153,8 @@ impl EstimateMemo {
         let out = EstimateMemo::new();
         // Translation itself must stay cheap on the allocator — it runs
         // on every warm planning call. One member buffer is reused across
-        // entries, shards are pre-sized, and mask-form keys (the common
-        // case: every exhaustive-search group) re-encode heap-free.
+        // entries, shards are pre-sized, and mask-form keys (every
+        // ascending member list) re-encode heap-free.
         let per_shard = self.len().div_ceil(SHARD_COUNT) * 2;
         for shard in &out.shards {
             shard

@@ -12,12 +12,13 @@
 //!   BW ≤ 100 %, combined memory ≤ capacity, and the group is under the
 //!   metric-priority cardinality cap (2 for throughput, 48 for energy; the
 //!   product priority sweeps caps and keeps the best estimated score).
-//! * [`PlannerStrategy::Exhaustive`] — enumerates every set partition of
-//!   the queue (n ≤ 12), scores each with the analytic estimator, and
-//!   returns the best. Ground truth for small queues; the planner tests
-//!   check greedy stays close to it.
+//! * [`PlannerStrategy::Exhaustive`] — finds the best-scoring set
+//!   partition of the queue (n ≤ 12) under the analytic estimator, by
+//!   branch-and-bound over one table of every member subset's estimate.
+//!   Ground truth for small queues; the planner tests check greedy stays
+//!   close to it.
 
-use crate::estimate::{estimate_group, estimate_sequential, GroupEstimate};
+use crate::estimate::{estimate_group, estimate_sequential, GroupEstimate, GroupFold};
 use crate::interference::predict;
 use crate::memo::{EstimateMemo, GroupKey};
 use crate::policy::MetricPriority;
@@ -131,7 +132,7 @@ pub enum PlannerStrategy {
 /// Carried planner state between successive [`Planner::plan_warm`] calls
 /// over an evolving workflow queue: the previous queue's stable ids, the
 /// estimate memo keyed against its positions, and the previous plan's
-/// member lists. One value per online-scheduling run; [`PlanWarmState::reset`]
+/// groups. One value per online-scheduling run; [`PlanWarmState::reset`]
 /// (or any non-incremental queue change) drops everything and the next
 /// call plans cold.
 #[derive(Debug, Default)]
@@ -139,10 +140,12 @@ pub struct PlanWarmState {
     /// Stable workflow ids of the previous call's queue, in queue order.
     prev_ids: Vec<u64>,
     /// Estimate memo keyed by the previous queue's positions; translated
-    /// to the new positions on each warm hit.
+    /// to the new positions on each warm hit that plans with a memo.
     memo: EstimateMemo,
-    /// The previous plan's member lists (previous queue positions).
-    prev_groups: Option<Vec<Vec<usize>>>,
+    /// The previous plan's groups as member masks over the previous
+    /// queue's positions; empty when there is none or a member sat at
+    /// position 64 or later.
+    prev_masks: Vec<u64>,
     /// Warm-start hits taken so far (mirrors the obs counter, for tests).
     warm_hits: u64,
 }
@@ -157,7 +160,7 @@ impl PlanWarmState {
     pub fn reset(&mut self) {
         self.prev_ids.clear();
         self.memo = EstimateMemo::new();
-        self.prev_groups = None;
+        self.prev_masks.clear();
     }
 
     /// Number of calls that warm-started (diffed as ≤ 1 leave + ≤ 1 join).
@@ -172,36 +175,36 @@ impl PlanWarmState {
 /// arrival's position in `new` — or `None` when the queues differ by more
 /// than that (bulk change or reordering → plan cold).
 fn warm_diff(old: &[u64], new: &[u64]) -> Option<(Option<usize>, Option<usize>)> {
-    /// Position whose removal from `longer` yields `shorter`
-    /// (`longer.len() == shorter.len() + 1`), preferring the earliest.
-    fn one_removed(longer: &[u64], shorter: &[u64]) -> Option<usize> {
-        let p = longer
-            .iter()
-            .zip(shorter.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or(shorter.len());
-        (longer[p + 1..] == shorter[p..]).then_some(p)
+    /// Position whose removal from `longer` yields the sequence `shorter`
+    /// of length `longer.len() − 1`, preferring the earliest. `shorter` is
+    /// read through an accessor so a one-removed view needs no copy: warm
+    /// planning must not allocate more than the cold call it replaces.
+    fn one_removed(longer: &[u64], shorter: impl Fn(usize) -> u64) -> Option<usize> {
+        let len = longer.len() - 1;
+        let p = (0..len)
+            .position(|i| longer[i] != shorter(i))
+            .unwrap_or(len);
+        (p + 1..longer.len())
+            .all(|i| longer[i] == shorter(i - 1))
+            .then_some(p)
+    }
+    /// `s` with position `p` removed, as an accessor.
+    fn without(s: &[u64], p: usize) -> impl Fn(usize) -> u64 + '_ {
+        move |i| s[if i < p { i } else { i + 1 }]
     }
     match (old.len() as i64) - (new.len() as i64) {
         0 => match old.iter().zip(new.iter()).position(|(a, b)| a != b) {
             None => Some((None, None)),
-            Some(p) => {
-                // One out, one in, same length: the first mismatch is
-                // either the departure's old position or the arrival's
-                // new position — try it as the departure first (the
-                // leave-then-join reading), then as the arrival.
-                let mut shrunk = old.to_vec();
-                shrunk.remove(p);
-                if let Some(j) = one_removed(new, &shrunk) {
-                    return Some((Some(p), Some(j)));
-                }
-                let mut shrunk = new.to_vec();
-                shrunk.remove(p);
-                one_removed(old, &shrunk).map(|k| (Some(k), Some(p)))
-            }
+            // One out, one in, same length: the first mismatch is either
+            // the departure's old position or the arrival's new position —
+            // try it as the departure first (the leave-then-join reading),
+            // then as the arrival.
+            Some(p) => one_removed(new, without(old, p))
+                .map(|j| (Some(p), Some(j)))
+                .or_else(|| one_removed(old, without(new, p)).map(|k| (Some(k), Some(p)))),
         },
-        1 => one_removed(old, new).map(|k| (Some(k), None)),
-        -1 => one_removed(new, old).map(|j| (None, Some(j))),
+        1 => one_removed(old, |i| new[i]).map(|k| (Some(k), None)),
+        -1 => one_removed(new, |i| old[i]).map(|j| (None, Some(j))),
         _ => None,
     }
 }
@@ -304,14 +307,16 @@ impl Planner {
     /// `ids` gives a stable identity per queue position (parallel to
     /// `profiles`): a workflow keeps its id as the queue evolves, letting
     /// the planner diff consecutive queues. When the diff is a single
-    /// join/leave with relative order preserved, the previous call's
-    /// estimate memo is translated to the new positions — so the search
-    /// re-derives nothing it already knows — and, under
-    /// [`PlannerStrategy::Exhaustive`], the previous plan re-enters as the
-    /// branch-and-bound's incumbent floor, mirroring the engine's
-    /// join/leave splice. Anything else (first call, bulk change,
-    /// reordering, or [`Planner::with_forced_cold_start`]) resets the
-    /// state and plans cold.
+    /// join/leave with relative order preserved, the previous plan's
+    /// groups are translated to the new positions and, for the memo-backed
+    /// strategies, so is the estimate memo — so the search re-derives
+    /// nothing it already knows. [`PlannerStrategy::Exhaustive`] reads no
+    /// memo (it scores from its own subset table, which it rebuilds each
+    /// call), so there the memo is dropped and the previous plan re-enters
+    /// only as the branch-and-bound's incumbent floor. Anything else
+    /// (first call, bulk change, reordering, or
+    /// [`Planner::with_forced_cold_start`]) resets the state and plans
+    /// cold.
     ///
     /// The returned plan is bit-identical to [`Planner::plan`] on the same
     /// queue: a translated memo hit returns exactly the value the
@@ -346,7 +351,7 @@ impl Planner {
         } else {
             warm_diff(&state.prev_ids, ids)
         };
-        let prev_groups = match diff {
+        let prev_masks = match diff {
             Some((leave, join)) => {
                 let remap = move |p: usize| -> Option<usize> {
                     let shrunk = match leave {
@@ -359,25 +364,18 @@ impl Planner {
                         _ => shrunk,
                     })
                 };
-                if leave.is_some() || join.is_some() {
+                if strategy == PlannerStrategy::Exhaustive {
+                    // Nothing on this path reads the memo: dropping it is
+                    // cheaper than translating it, and keeps a later
+                    // memo-backed call from seeing stale positions.
+                    state.memo = EstimateMemo::new();
+                } else if leave.is_some() || join.is_some() {
                     state.memo = state.memo.translated(remap);
                 }
                 state.warm_hits += 1;
                 mpshare_obs::counter_add(mpshare_obs::names::PLAN_WARM_START_HITS, 1);
-                state.prev_groups.take().map(|groups| {
-                    let mut translated: Vec<Vec<usize>> = groups
-                        .iter()
-                        .map(|g| g.iter().filter_map(|&m| remap(m)).collect::<Vec<usize>>())
-                        .filter(|g| !g.is_empty())
-                        .collect();
-                    if let Some(j) = join {
-                        // The arrival was in no previous group; as its own
-                        // singleton the translated plan is a full partition
-                        // of the new queue again.
-                        translated.push(vec![j]);
-                    }
-                    translated
-                })
+                translate_masks(&mut state.prev_masks, remap, join);
+                (!state.prev_masks.is_empty()).then_some(state.prev_masks.as_slice())
             }
             None => {
                 state.reset();
@@ -385,29 +383,35 @@ impl Planner {
             }
         };
 
-        let plan = self.plan_with_memo(profiles, strategy, &state.memo, prev_groups.as_deref())?;
+        let plan = self.plan_with_memo(profiles, strategy, &state.memo, prev_masks)?;
         plan.validate(&self.device, profiles)?;
         self.emit_plan_obs(strategy, &plan, profiles);
         state.prev_ids.clear();
         state.prev_ids.extend_from_slice(ids);
-        state.prev_groups = Some(
-            plan.groups
-                .iter()
-                .map(|g| g.workflow_indices.clone())
-                .collect(),
-        );
+        state.prev_masks.clear();
+        // A slot per position plus one: the next warm call's arrival joins
+        // as a singleton without reallocating.
+        state.prev_masks.reserve(profiles.len() + 1);
+        if profiles.len() <= 64 {
+            state.prev_masks.extend(
+                plan.groups
+                    .iter()
+                    .map(|g| g.workflow_indices.iter().fold(0u64, |m, &i| m | 1 << i)),
+            );
+        }
         Ok(plan)
     }
 
     /// Strategy dispatch over an explicit memo (empty for cold calls,
     /// translated for warm ones) and, for the exhaustive search, the
-    /// previous plan's translated member lists to seed the incumbent.
+    /// previous plan's translated groups (member masks in enumeration
+    /// order) to seed the incumbent.
     fn plan_with_memo(
         &self,
         profiles: &[WorkflowProfile],
         strategy: PlannerStrategy,
         memo: &EstimateMemo,
-        prev_groups: Option<&[Vec<usize>]>,
+        prev_masks: Option<&[u64]>,
     ) -> Result<SchedulePlan> {
         match strategy {
             PlannerStrategy::Greedy => self.plan_greedy(profiles, memo),
@@ -431,11 +435,7 @@ impl Planner {
                     },
                 )
             }
-            PlannerStrategy::Exhaustive => {
-                let floor =
-                    prev_groups.and_then(|groups| self.exhaustive_floor(groups, profiles, memo));
-                self.plan_exhaustive(profiles, memo, floor)
-            }
+            PlannerStrategy::Exhaustive => self.plan_exhaustive(profiles, memo, prev_masks),
         }
     }
 
@@ -800,25 +800,27 @@ impl Planner {
     /// one the serial search returns.
     ///
     /// By default each sub-tree is searched branch-and-bound
-    /// ([`BranchAndBound`]): partial groupings carry an admissible score
-    /// upper bound, and sub-trees that cannot *strictly* beat the worker's
-    /// incumbent are pruned — the surviving leaf visit order and the
-    /// strictly-greater incumbent rule are those of the brute force, so
-    /// the returned plan is identical ([`Planner::with_exhaustive_pruning`]
-    /// switches back to the plain enumeration).
+    /// ([`MaskSearch`]) over one [`SubsetTable`] shared by every worker:
+    /// partial groupings carry an admissible score upper bound, and
+    /// sub-trees that cannot *strictly* beat the worker's incumbent are
+    /// pruned — the surviving leaf visit order and the strictly-greater
+    /// incumbent rule are those of the brute force, so the returned plan
+    /// is identical ([`Planner::with_exhaustive_pruning`] switches back to
+    /// the plain enumeration). `prev_masks`, the previous plan's groups
+    /// translated to this queue, seeds every worker's incumbent floor
+    /// ([`Planner::exhaustive_floor`]).
     fn plan_exhaustive(
         &self,
         profiles: &[WorkflowProfile],
         memo: &EstimateMemo,
-        floor: Option<f64>,
+        prev_masks: Option<&[u64]>,
     ) -> Result<SchedulePlan> {
-        const MAX_N: usize = 12;
         // 4 fixed positions → 15 independent sub-enumerations (Bell(4)).
         const PREFIX_LEN: usize = 4;
         let n = profiles.len();
-        if n > MAX_N {
+        if n > EXHAUSTIVE_MAX_N {
             return Err(Error::InvalidConfig(format!(
-                "exhaustive planning supports ≤ {MAX_N} workflows, got {n}"
+                "exhaustive planning supports ≤ {EXHAUSTIVE_MAX_N} workflows, got {n}"
             )));
         }
 
@@ -830,43 +832,37 @@ impl Planner {
         });
 
         let seq = Self::sequential_baseline(profiles);
-        let bound = if self.exhaustive_pruning {
-            self.exhaustive_bound(profiles, &seq)
+        let local_bests = if self.exhaustive_pruning {
+            let table = SubsetTable::build(self, profiles);
+            let bound = self.exhaustive_bound(profiles, &seq, &table);
+            let floor = prev_masks.and_then(|masks| self.exhaustive_floor(&table, masks, &seq));
+            mpshare_par::par_map(&prefixes, |(prefix, max_used)| {
+                MaskSearch::run(self, &table, &seq, bound.as_ref(), floor, prefix, *max_used)
+            })
         } else {
-            None
-        };
-        let local_bests = mpshare_par::par_map(&prefixes, |(prefix, max_used)| {
-            if self.exhaustive_pruning {
-                self.exhaustive_worker_pruned(
-                    profiles,
-                    &seq,
-                    memo,
-                    bound.as_ref(),
-                    floor,
-                    prefix,
-                    *max_used,
-                )
-            } else {
+            mpshare_par::par_map(&prefixes, |(prefix, max_used)| {
                 self.exhaustive_worker_brute(profiles, &seq, memo, prefix, *max_used)
-            }
-        });
+            })
+        };
 
         // Drop sentinel incumbents (a warm floor that no leaf in that
         // worker's sub-tree beat): the floor is strictly below an
         // enumerable leaf's score, so such workers cannot hold the
         // overall winner and the first-best reduction is unchanged.
-        let groups = Self::first_best(
+        let best = Self::first_best(
             local_bests
                 .into_iter()
                 .flatten()
-                .filter(|(_, groups)| !groups.is_empty()),
+                .filter(|(_, partition)| partition.len > 0),
         )
         .ok_or_else(|| Error::PlanViolation("no feasible partition exists".into()))?;
-        Ok(self.materialize(&groups, profiles))
+        Ok(self.materialize(&best, profiles))
     }
 
-    /// One worker's plain brute-force sub-enumeration (the reference the
-    /// branch-and-bound path is property-tested against).
+    /// One worker's plain brute-force sub-enumeration: every leaf's groups
+    /// are checked and scored through [`Planner::estimate_members`], the
+    /// independent reference the branch-and-bound path is property-tested
+    /// against.
     fn exhaustive_worker_brute(
         &self,
         profiles: &[WorkflowProfile],
@@ -874,12 +870,12 @@ impl Planner {
         memo: &EstimateMemo,
         prefix: &[usize],
         prefix_max: usize,
-    ) -> Option<(f64, Vec<Vec<usize>>)> {
+    ) -> Option<(f64, MaskPartition)> {
         let n = profiles.len();
         let prefix_len = prefix.len();
         let mut assignment = vec![0usize; n];
         assignment[..prefix_len].copy_from_slice(prefix);
-        let mut best: Option<(f64, Vec<Vec<usize>>)> = None;
+        let mut best: Option<(f64, MaskPartition)> = None;
         let mut groups: Vec<Vec<usize>> = Vec::new();
         // Dense front of the shared memo: with n ≤ 12 every group is
         // an ascending index list below 64, i.e. a subset mask that
@@ -913,85 +909,48 @@ impl Planner {
             // `score_member_lists` would.
             let mut makespan = 0.0;
             let mut energy = 0.0;
+            let mut leaf = MaskPartition::EMPTY;
             for g in &groups[..k] {
                 let mask: usize = g.iter().fold(0, |m, &i| m | (1 << i));
+                leaf.push(mask);
                 let e = dense[mask].get_or_insert_with(|| self.estimate_members(g, profiles, memo));
                 makespan += e.makespan.value();
                 energy += e.energy.joules();
             }
             let score = self.score_totals(seq, makespan, energy);
             if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, groups[..k].to_vec()));
+                best = Some((score, leaf));
             }
         });
         best
     }
 
-    /// One worker's branch-and-bound sub-enumeration: an explicit DFS
-    /// mirroring [`enumerate_partitions`]'s visit order, with hard
-    /// constraints checked at assignment time (a violating group only
-    /// grows down-tree, so every pruned leaf would have early-returned)
-    /// and, when `bound` is available, admissible score-bound pruning
-    /// against the worker-local incumbent.
-    #[allow(clippy::too_many_arguments)]
-    fn exhaustive_worker_pruned(
-        &self,
-        profiles: &[WorkflowProfile],
-        seq: &GroupEstimate,
-        memo: &EstimateMemo,
-        bound: Option<&ExhaustiveBound>,
-        floor: Option<f64>,
-        prefix: &[usize],
-        prefix_max: usize,
-    ) -> Option<(f64, Vec<Vec<usize>>)> {
-        let n = profiles.len();
-        let mut search = BranchAndBound {
-            planner: self,
-            profiles,
-            seq,
-            memo,
-            bound,
-            dense: vec![None; 1usize << n],
-            groups: Vec::new(),
-            group_mem: Vec::new(),
-            group_ms: Vec::new(),
-            group_en: Vec::new(),
-            // A warm floor enters as a sentinel incumbent (empty member
-            // lists): leaves must *strictly* beat it to be recorded, which
-            // prunes exactly the sub-trees that cannot contain the winner.
-            best: floor.map(|f| (f, Vec::new())),
-            n,
-        };
-        // Seed the fixed prefix positions. A hard-constraint violation
-        // here voids the whole sub-tree — exactly as every leaf below it
-        // would have early-returned in the brute force.
-        for (pos, &g) in prefix.iter().enumerate() {
-            search.push_member(pos, g)?;
-        }
-        search.dfs(prefix.len(), prefix_max);
-        search.best
-    }
-
     /// Precomputes the admissible-bound ingredients for one exhaustive
     /// call, or `None` when the preconditions for bound validity do not
-    /// hold (negative/non-finite inputs, non-positive baseline) — the
-    /// search then runs without score pruning.
+    /// hold (negative/non-finite inputs or estimates, non-positive
+    /// baseline) — the search then runs without score pruning.
     fn exhaustive_bound(
         &self,
         profiles: &[WorkflowProfile],
         seq: &GroupEstimate,
+        table: &SubsetTable,
     ) -> Option<ExhaustiveBound> {
         let seq_makespan = seq.makespan.value();
         let seq_energy = seq.energy.joules();
-        let idle = self.device.idle_power;
+        let idle = self.device.idle_power.watts();
         // Every comparison is written positively so NaN anywhere fails it.
+        // Estimates are monotone under supersets, so a finite whole-queue
+        // estimate makes every subset's finite too.
+        let whole = table.entries[table.entries.len() - 1];
         let preconditions_ok = self.sharing_overhead >= 0.0
             && seq_makespan > 0.0
             && seq_makespan.is_finite()
             && seq_energy > 0.0
             && seq_energy.is_finite()
-            && idle.watts() >= 0.0
-            && idle.watts().is_finite();
+            && idle >= 0.0
+            && idle.is_finite()
+            && whole.makespan.is_finite()
+            && whole.energy.is_finite();
         if !preconditions_ok {
             return None;
         }
@@ -1001,7 +960,7 @@ impl Planner {
             let dur = p.duration.value();
             let sm = p.avg_sm_util.value();
             let bw = p.avg_bw_util.value();
-            let dyn_e = p.dynamic_energy(idle).joules();
+            let dyn_e = p.dynamic_energy(self.device.idle_power).joules();
             let ok = dur >= 0.0
                 && dur.is_finite()
                 && sm >= 0.0
@@ -1017,9 +976,10 @@ impl Planner {
             // so the whole-queue sum floors every partition's total.
             r_total += dur * (sm / 100.0);
         }
-        let mut dyn_suffix = vec![0.0; n + 1];
+        let mut dyn_suffix = [0.0; EXHAUSTIVE_MAX_N + 1];
         for i in (0..n).rev() {
-            dyn_suffix[i] = profiles[i].dynamic_energy(idle).joules() + dyn_suffix[i + 1];
+            dyn_suffix[i] =
+                profiles[i].dynamic_energy(self.device.idle_power).joules() + dyn_suffix[i + 1];
         }
         Some(ExhaustiveBound {
             // The bounds combine float sums folded in a different order
@@ -1028,21 +988,28 @@ impl Planner {
             // bit for bit.
             r_total: r_total * (1.0 - 1e-9),
             dyn_suffix,
+            idle,
             seq_makespan,
             seq_energy,
         })
     }
 
-    fn materialize(&self, groups: &[Vec<usize>], profiles: &[WorkflowProfile]) -> SchedulePlan {
+    /// Builds the plan of an exhaustive winner: each mask's members in
+    /// ascending order, right-sized.
+    fn materialize(&self, partition: &MaskPartition, profiles: &[WorkflowProfile]) -> SchedulePlan {
         SchedulePlan {
-            groups: groups
+            groups: partition
+                .masks()
                 .iter()
-                .map(|members| {
+                .map(|&mask| {
+                    let members: Vec<usize> = (0..profiles.len())
+                        .filter(|&i| mask & 1 << i != 0)
+                        .collect();
                     let member_profiles: Vec<&WorkflowProfile> =
                         members.iter().map(|&i| &profiles[i]).collect();
                     PlanGroup {
-                        workflow_indices: members.clone(),
                         partitions: self.partition_strategy.partitions(&member_profiles),
+                        workflow_indices: members,
                     }
                 })
                 .collect(),
@@ -1144,59 +1111,48 @@ impl Planner {
 
     /// Computes the warm incumbent floor for the exhaustive search: the
     /// largest float strictly below the score of the previous plan's
-    /// translated partition, or `None` when that partition is not a
-    /// feasible enumerable leaf of the new queue (so no floor can be
-    /// proven) or pruning is off (no incumbent seeding without pruning).
+    /// translated partition, or `None` when those masks are not a feasible
+    /// enumerable leaf of the new queue (so no floor can be proven).
     ///
-    /// Why the floor preserves bit-identity: the seeded partition is
-    /// itself an enumerable leaf scoring `s0 > floor`, so the true maximum
-    /// is `≥ s0 > floor`. A worker whose local best never strictly exceeds
+    /// A leaf's groups come out of the restricted-growth enumeration
+    /// ordered by minimal member, each an ascending member list, so masks
+    /// in that order fold the table's estimates exactly as the search folds
+    /// that leaf: `s0` is the leaf's bit-exact score. Why the floor then
+    /// preserves bit-identity: the seeded partition is itself an
+    /// enumerable leaf scoring `s0 > floor`, so the true maximum is
+    /// `≥ s0 > floor`. A worker whose local best never strictly exceeds
     /// the floor therefore cannot contain the overall winner; dropping its
     /// sentinel leaves the first-best reduction's result unchanged, and a
     /// worker that does beat the floor records the same first strictly
     /// greatest leaf it would have found cold.
     fn exhaustive_floor(
         &self,
-        prev_groups: &[Vec<usize>],
-        profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
+        table: &SubsetTable,
+        masks: &[u64],
+        seq: &GroupEstimate,
     ) -> Option<f64> {
-        if !self.exhaustive_pruning {
-            return None;
-        }
-        let n = profiles.len();
-        let mut covered = vec![false; n];
-        let mut canonical: Vec<Vec<usize>> = Vec::with_capacity(prev_groups.len());
-        for group in prev_groups {
-            if group.is_empty() || group.len() > self.device.max_mps_clients {
+        let full = table.entries.len() - 1;
+        let mut covered = 0usize;
+        let mut prev_low = None;
+        let (mut makespan, mut energy) = (0.0, 0.0);
+        for &mask in masks {
+            let mask = usize::try_from(mask)
+                .ok()
+                .filter(|&m| m != 0 && m <= full)?;
+            let low = mask.trailing_zeros();
+            let entry = table.entries[mask];
+            if covered & mask != 0 || prev_low >= Some(low) || !entry.feasible {
                 return None;
             }
-            let mut members = group.clone();
-            members.sort_unstable();
-            for &i in &members {
-                if i >= n || covered[i] {
-                    return None;
-                }
-                covered[i] = true;
-            }
-            let mem: mpshare_types::MemBytes =
-                members.iter().map(|&i| profiles[i].max_memory).sum();
-            if mem > self.device.memory_capacity {
-                return None;
-            }
-            canonical.push(members);
+            covered |= mask;
+            prev_low = Some(low);
+            makespan += entry.makespan;
+            energy += entry.energy;
         }
-        if !covered.iter().all(|&c| c) {
+        if covered != full {
             return None;
         }
-        // Leaf order: the restricted-growth enumeration assigns group ids
-        // by first appearance, so a leaf's groups sort by minimal member
-        // and each group's members ascend. Scoring in exactly that order
-        // makes `s0` the leaf's bit-exact score.
-        canonical.sort_unstable_by_key(|g| g[0]);
-        let seq = Self::sequential_baseline(profiles);
-        let s0 =
-            self.score_member_lists(canonical.iter().map(|g| g.as_slice()), profiles, &seq, memo);
+        let s0 = self.score_totals(seq, makespan, energy);
         if s0 > 0.0 && s0.is_finite() {
             // Largest float strictly below a positive finite s0
             // (`f64::next_down`, spelled out for the pinned toolchain).
@@ -1247,6 +1203,128 @@ fn enumerate_partitions(
     }
 }
 
+/// Largest queue [`PlannerStrategy::Exhaustive`] accepts: Bell(12) ≈ 4.2M
+/// set partitions, over a subset table of 2^12 entries.
+const EXHAUSTIVE_MAX_N: usize = 12;
+
+/// Re-keys the previous plan's member masks to the new queue positions
+/// after a warm diff: the departed workflow's bit is dropped (and its
+/// group with it when it was alone), every other member moves to its
+/// `remap`ped position, and an arrival joins as its own singleton, so the
+/// masks partition the new queue again. The result is ordered by minimal
+/// member — the order the exhaustive enumeration emits a leaf's groups
+/// in. Clears the masks when a position no longer fits in 64 bits.
+/// Allocation-free while the vector has a spare slot for the arrival.
+fn translate_masks(
+    masks: &mut Vec<u64>,
+    remap: impl Fn(usize) -> Option<usize>,
+    join: Option<usize>,
+) {
+    let mut fits = true;
+    for mask in masks.iter_mut() {
+        let (mut old, mut new) = (*mask, 0u64);
+        while old != 0 {
+            let pos = old.trailing_zeros() as usize;
+            old &= old - 1;
+            match remap(pos) {
+                Some(p) if p < 64 => new |= 1 << p,
+                Some(_) => fits = false,
+                None => {}
+            }
+        }
+        *mask = new;
+    }
+    masks.retain(|&m| m != 0);
+    match join {
+        Some(j) if j < 64 => masks.push(1 << j),
+        Some(_) => fits = false,
+        None => {}
+    }
+    if !fits {
+        masks.clear();
+    }
+    masks.sort_unstable_by_key(|m| m.trailing_zeros());
+}
+
+/// Estimate and hard-constraint feasibility of one member subset.
+#[derive(Debug, Clone, Copy)]
+struct SubsetEntry {
+    makespan: f64,
+    energy: f64,
+    /// Within the client limit and the device memory. Both only grow with
+    /// the subset, so an infeasible subset has no feasible superset.
+    feasible: bool,
+}
+
+/// Every member subset of one exhaustive call's queue (n ≤ 12, so at most
+/// 4096 entries), indexed by member mask and shared read-only by every
+/// prefix worker.
+///
+/// Built by subset DP: `fold[mask]` is `fold[mask − top]` extended by
+/// member `top`, the mask's highest position. That is the next step of
+/// [`estimate_group`]'s left-to-right fold over the mask's ascending member
+/// list, so every entry carries exactly the bits `estimate_group` returns
+/// for that list — the list the enumeration scores the group as.
+struct SubsetTable {
+    entries: Vec<SubsetEntry>,
+}
+
+impl SubsetTable {
+    fn build(planner: &Planner, profiles: &[WorkflowProfile]) -> SubsetTable {
+        let size = 1usize << profiles.len();
+        let idle = planner.device.idle_power;
+        let mut folds: Vec<(GroupFold, mpshare_types::MemBytes)> = Vec::with_capacity(size);
+        let mut entries = Vec::with_capacity(size);
+        folds.push((GroupFold::EMPTY, mpshare_types::MemBytes::ZERO));
+        entries.push(SubsetEntry {
+            makespan: 0.0,
+            energy: 0.0,
+            feasible: true,
+        });
+        for mask in 1..size {
+            let top = (usize::BITS - 1 - mask.leading_zeros()) as usize;
+            let (fold, mem) = folds[mask ^ 1 << top];
+            let (fold, mem) = (
+                fold.push(&profiles[top], idle),
+                mem + profiles[top].max_memory,
+            );
+            let estimate = fold.finish(idle, planner.sharing_overhead);
+            folds.push((fold, mem));
+            entries.push(SubsetEntry {
+                makespan: estimate.makespan.value(),
+                energy: estimate.energy.joules(),
+                feasible: fold.members() <= planner.device.max_mps_clients
+                    && mem <= planner.device.memory_capacity,
+            });
+        }
+        SubsetTable { entries }
+    }
+}
+
+/// A set partition as member masks, groups in restricted-growth order (by
+/// minimal member). Length 0 is the sentinel of a warm floor no leaf beat.
+#[derive(Debug, Clone, Copy)]
+struct MaskPartition {
+    masks: [usize; EXHAUSTIVE_MAX_N],
+    len: usize,
+}
+
+impl MaskPartition {
+    const EMPTY: MaskPartition = MaskPartition {
+        masks: [0; EXHAUSTIVE_MAX_N],
+        len: 0,
+    };
+
+    fn push(&mut self, mask: usize) {
+        self.masks[self.len] = mask;
+        self.len += 1;
+    }
+
+    fn masks(&self) -> &[usize] {
+        &self.masks[..self.len]
+    }
+}
+
 /// Ingredients of the exhaustive search's admissible score bound, computed
 /// once per [`Planner::plan_exhaustive`] call.
 ///
@@ -1263,22 +1341,19 @@ fn enumerate_partitions(
 ///   float sums, keeping the floor admissible bit for bit.
 /// * `dyn_suffix[i]` — `Σ_{j ≥ i} dynamic_energy(j)`: dynamic energies are
 ///   conserved under grouping (each appears in exactly one group's energy),
-///   so unassigned positions contribute at least this much energy.
+///   so unassigned positions contribute at least this much energy, and
+///   every partition's energy is at least `idle · makespan + dyn_suffix[0]`.
 struct ExhaustiveBound {
     r_total: f64,
-    dyn_suffix: Vec<f64>,
+    dyn_suffix: [f64; EXHAUSTIVE_MAX_N + 1],
+    idle: f64,
     seq_makespan: f64,
     seq_energy: f64,
 }
 
-/// Saved per-group state for undoing one [`BranchAndBound::push_member`].
-struct SavedGroup {
-    ms: f64,
-    en: f64,
-    mem: mpshare_types::MemBytes,
-}
-
-/// Depth-first branch-and-bound over one restricted-growth-string sub-tree.
+/// Depth-first branch-and-bound over one restricted-growth-string
+/// sub-tree, reading every group's estimate and feasibility from the
+/// shared [`SubsetTable`].
 ///
 /// The DFS visits leaves in exactly [`enumerate_partitions`]'s order and
 /// applies the same strictly-greater incumbent rule, so with pruning that
@@ -1290,66 +1365,90 @@ struct SavedGroup {
 /// assigned: both only grow as a group gains members, so a violation at
 /// assignment time implies every leaf below would have failed the brute
 /// force's leaf check, making the skip exact even without a score bound.
-struct BranchAndBound<'a> {
+struct MaskSearch<'a> {
     planner: &'a Planner,
-    profiles: &'a [WorkflowProfile],
+    table: &'a SubsetTable,
     seq: &'a GroupEstimate,
-    memo: &'a EstimateMemo,
     bound: Option<&'a ExhaustiveBound>,
-    /// Dense mask-indexed estimate table, as in the brute-force worker.
-    dense: Vec<Option<GroupEstimate>>,
-    /// Current partial grouping; slots beyond the live `max_used` may
-    /// linger empty (with zeroed totals) after backtracking.
-    groups: Vec<Vec<usize>>,
-    group_mem: Vec<mpshare_types::MemBytes>,
-    group_ms: Vec<f64>,
-    group_en: Vec<f64>,
-    best: Option<(f64, Vec<Vec<usize>>)>,
     n: usize,
+    /// Member masks of the current partial grouping's groups `0..used`;
+    /// later slots are stale.
+    groups: [usize; EXHAUSTIVE_MAX_N],
+    best: Option<(f64, MaskPartition)>,
 }
 
-impl BranchAndBound<'_> {
-    /// Assigns position `pos` to group `g`, updating the group's cached
-    /// estimate. Returns `None` (state unchanged) when the assignment
-    /// violates a hard constraint.
-    fn push_member(&mut self, pos: usize, g: usize) -> Option<SavedGroup> {
-        if g == self.groups.len() {
-            self.groups.push(Vec::new());
-            self.group_mem.push(mpshare_types::MemBytes::ZERO);
-            self.group_ms.push(0.0);
-            self.group_en.push(0.0);
-        }
-        if self.groups[g].len() + 1 > self.planner.device.max_mps_clients {
-            return None;
-        }
-        let mem = self.group_mem[g] + self.profiles[pos].max_memory;
-        if mem > self.planner.device.memory_capacity {
-            return None;
-        }
-        let saved = SavedGroup {
-            ms: self.group_ms[g],
-            en: self.group_en[g],
-            mem: self.group_mem[g],
+impl<'a> MaskSearch<'a> {
+    /// Searches the sub-tree under one prefix. A warm `floor` enters as a
+    /// sentinel incumbent (an empty partition): leaves must *strictly*
+    /// beat it to be recorded, which prunes exactly the sub-trees that
+    /// cannot contain the winner.
+    fn run(
+        planner: &'a Planner,
+        table: &'a SubsetTable,
+        seq: &'a GroupEstimate,
+        bound: Option<&'a ExhaustiveBound>,
+        floor: Option<f64>,
+        prefix: &[usize],
+        prefix_max: usize,
+    ) -> Option<(f64, MaskPartition)> {
+        let mut search = MaskSearch {
+            planner,
+            table,
+            seq,
+            bound,
+            n: table.entries.len().trailing_zeros() as usize,
+            groups: [0; EXHAUSTIVE_MAX_N],
+            best: floor.map(|f| (f, MaskPartition::EMPTY)),
         };
-        self.groups[g].push(pos);
-        self.group_mem[g] = mem;
-        let mask: usize = self.groups[g].iter().fold(0, |m, &i| m | (1 << i));
-        let (planner, profiles, memo) = (self.planner, self.profiles, self.memo);
-        let groups = &self.groups;
-        let e = self.dense[mask]
-            .get_or_insert_with(|| planner.estimate_members(&groups[g], profiles, memo));
-        self.group_ms[g] = e.makespan.value();
-        self.group_en[g] = e.energy.joules();
-        Some(saved)
+        // Seed the fixed prefix positions. A hard-constraint violation
+        // here voids the whole sub-tree — exactly as every leaf below it
+        // would have early-returned in the brute force.
+        for (pos, &g) in prefix.iter().enumerate() {
+            let mask = search.groups[g] | 1 << pos;
+            if !table.entries[mask].feasible {
+                return None;
+            }
+            search.groups[g] = mask;
+        }
+        search.dfs(prefix.len(), prefix_max);
+        search.best
     }
 
-    /// Undoes the matching [`BranchAndBound::push_member`].
-    fn pop_member(&mut self, pos: usize, g: usize, saved: SavedGroup) {
-        let popped = self.groups[g].pop();
-        debug_assert_eq!(popped, Some(pos));
-        self.group_mem[g] = saved.mem;
-        self.group_ms[g] = saved.ms;
-        self.group_en[g] = saved.en;
+    /// Recursive search over positions `pos..n`, mirroring
+    /// [`enumerate_partitions`]'s `for g in 0..=used` order.
+    fn dfs(&mut self, pos: usize, used: usize) {
+        if pos == self.n {
+            // Leaf: same left-to-right group-order fold and strictly-greater
+            // incumbent rule as the brute-force visit.
+            let mut makespan = 0.0;
+            let mut energy = 0.0;
+            for &mask in &self.groups[..used] {
+                makespan += self.table.entries[mask].makespan;
+                energy += self.table.entries[mask].energy;
+            }
+            let score = self.planner.score_totals(self.seq, makespan, energy);
+            if self.best.as_ref().is_none_or(|(s, _)| score > *s) {
+                let mut leaf = MaskPartition::EMPTY;
+                for &mask in &self.groups[..used] {
+                    leaf.push(mask);
+                }
+                self.best = Some((score, leaf));
+            }
+            return;
+        }
+        for g in 0..=used {
+            let old = if g < used { self.groups[g] } else { 0 };
+            let mask = old | 1 << pos;
+            if !self.table.entries[mask].feasible {
+                continue;
+            }
+            self.groups[g] = mask;
+            let next_used = used.max(g + 1);
+            if !self.pruned(pos, next_used) {
+                self.dfs(pos + 1, next_used);
+            }
+            self.groups[g] = old;
+        }
     }
 
     /// Whether the sub-tree below the current partial grouping (positions
@@ -1359,21 +1458,46 @@ impl BranchAndBound<'_> {
         let (Some(b), Some((incumbent, _))) = (self.bound, self.best.as_ref()) else {
             return false;
         };
-        // Exact float lower bound on any descendant leaf's totals: per-group
-        // estimates are append-monotone (all inputs non-negative — checked
-        // by `exhaustive_bound`), float folds of non-negative terms are
-        // monotone in each term, and the leaf folds groups in this same
+        let entries = &self.table.entries;
+        let groups = &self.groups[..used];
+        // Exact float lower bound on any descendant leaf's totals: table
+        // estimates are monotone under supersets (all inputs non-negative —
+        // checked by `exhaustive_bound`), float folds of non-negative terms
+        // are monotone in each term, and the leaf folds groups in this same
         // index order, so the partial fold is a true prefix bound.
         let mut ms_part = 0.0;
         let mut en_part = 0.0;
-        for g in 0..used {
-            ms_part += self.group_ms[g];
-            en_part += self.group_en[g];
+        for &mask in groups {
+            ms_part += entries[mask].makespan;
+            en_part += entries[mask].energy;
         }
-        let ms_lb = ms_part.max(b.r_total);
-        // Unassigned dynamic energies land in some group eventually; the
-        // deflation covers the fold-reordering drift (see ExhaustiveBound).
-        let en_lb = (en_part + b.dyn_suffix[pos + 1]) * (1.0 - 1e-9);
+        // One-step lookahead: every unassigned workflow j lands in some
+        // final group, either a new one (makespan ≥ ms[{j}]) or a feasible
+        // superset of an existing group's members plus j (its makespan
+        // grows by ≥ ms[M ∪ {j}] − ms[M]). So the total grows past
+        // `ms_part` by at least the cheapest of those for every j, hence by
+        // the largest such minimum. The differences re-associate the sum,
+        // so the step enters deflated like the other re-associated floors.
+        let mut step = 0.0f64;
+        for j in pos + 1..self.n {
+            let bit = 1 << j;
+            let mut cheapest = entries[bit].makespan;
+            for &mask in groups {
+                let grown = entries[mask | bit];
+                if grown.feasible {
+                    cheapest = cheapest.min(grown.makespan - entries[mask].makespan);
+                }
+            }
+            step = step.max(cheapest);
+        }
+        let ms_lb = ((ms_part + step) * (1.0 - 1e-9))
+            .max(ms_part)
+            .max(b.r_total);
+        // Unassigned dynamic energies land in some group eventually, and
+        // every group pays idle power over its makespan; the deflation
+        // covers the fold-reordering drift (see ExhaustiveBound).
+        let en_lb = ((en_part + b.dyn_suffix[pos + 1]) * (1.0 - 1e-9))
+            .max((b.idle * ms_lb + b.dyn_suffix[0]) * (1.0 - 1e-9));
         if !(ms_lb > 0.0 && en_lb > 0.0) {
             return false;
         }
@@ -1385,36 +1509,6 @@ impl BranchAndBound<'_> {
             .priority
             .score(b.seq_makespan / ms_lb, b.seq_energy / en_lb);
         ub <= *incumbent
-    }
-
-    /// Recursive search over positions `pos..n`, mirroring
-    /// [`enumerate_partitions`]'s `for g in 0..=max_used` order.
-    fn dfs(&mut self, pos: usize, max_used: usize) {
-        if pos == self.n {
-            // Leaf: same left-to-right group-order fold and strictly-greater
-            // incumbent rule as the brute-force visit.
-            let mut makespan = 0.0;
-            let mut energy = 0.0;
-            for g in 0..max_used {
-                makespan += self.group_ms[g];
-                energy += self.group_en[g];
-            }
-            let score = self.planner.score_totals(self.seq, makespan, energy);
-            if self.best.as_ref().is_none_or(|(s, _)| score > *s) {
-                self.best = Some((score, self.groups[..max_used].to_vec()));
-            }
-            return;
-        }
-        for g in 0..=max_used {
-            let Some(saved) = self.push_member(pos, g) else {
-                continue;
-            };
-            let next_max = max_used.max(g + 1);
-            if !self.pruned(pos, next_max) {
-                self.dfs(pos + 1, next_max);
-            }
-            self.pop_member(pos, g, saved);
-        }
     }
 }
 
@@ -1475,6 +1569,100 @@ mod tests {
         assert_eq!(warm_diff(&[1, 2, 3], &[3, 2, 1]), None);
         assert_eq!(warm_diff(&[1, 2, 3], &[2, 1, 4]), None);
         assert_eq!(warm_diff(&[1, 2], &[3, 4]), None);
+    }
+
+    /// The subset DP must hold, for every mask, exactly the bits
+    /// `estimate_group` returns for the mask's ascending member list — and
+    /// the client-cap and memory verdicts the brute force checks per leaf.
+    #[test]
+    fn subset_table_matches_estimate_group_on_every_mask() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        // Signed zeros and zero durations are where a reordered float fold
+        // would show in the last bit.
+        let pick = |rng: &mut StdRng, hi: f64| match rng.random_range(0..4usize) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.random_range(0.0..hi),
+        };
+        for case in 0..24usize {
+            let n = 1 + case % EXHAUSTIVE_MAX_N;
+            let profiles: Vec<WorkflowProfile> = (0..n)
+                .map(|i| {
+                    let mut p = profile(
+                        &format!("w{i}"),
+                        pick(&mut rng, 100.0),
+                        pick(&mut rng, 100.0),
+                        rng.random_range(1..40u64),
+                        pick(&mut rng, 120.0),
+                    );
+                    p.energy = Energy::from_joules(pick(&mut rng, 20_000.0));
+                    p
+                })
+                .collect();
+            let mut device = dev();
+            // Every other pool hits the client cap as well as memory.
+            if case % 2 == 1 {
+                device.max_mps_clients = 3;
+            }
+            let overhead = [0.0, 0.002, 0.05][case % 3];
+            let planner = Planner::new(device.clone(), MetricPriority::balanced_product())
+                .with_sharing_overhead(overhead);
+            let table = SubsetTable::build(&planner, &profiles);
+            assert_eq!(table.entries.len(), 1 << n);
+            let (mut capped, mut over_memory) = (0, 0);
+            for (mask, entry) in table.entries.iter().enumerate().skip(1) {
+                let members: Vec<&WorkflowProfile> = (0..n)
+                    .filter(|&i| mask & 1 << i != 0)
+                    .map(|i| &profiles[i])
+                    .collect();
+                let e = estimate_group(&device, &members, overhead);
+                assert_eq!(
+                    entry.makespan.to_bits(),
+                    e.makespan.value().to_bits(),
+                    "case {case} mask {mask:#b}"
+                );
+                assert_eq!(
+                    entry.energy.to_bits(),
+                    e.energy.joules().to_bits(),
+                    "case {case} mask {mask:#b}"
+                );
+                let mem: mpshare_types::MemBytes = members.iter().map(|p| p.max_memory).sum();
+                let within_cap = members.len() <= device.max_mps_clients;
+                let within_memory = mem <= device.memory_capacity;
+                assert_eq!(
+                    entry.feasible,
+                    within_cap && within_memory,
+                    "mask {mask:#b}"
+                );
+                capped += usize::from(!within_cap);
+                over_memory += usize::from(!within_memory);
+            }
+            if n == EXHAUSTIVE_MAX_N {
+                assert!(capped > 0 || case % 2 == 0, "case {case} never hit the cap");
+                assert!(over_memory > 0, "case {case} never exceeded memory");
+            }
+        }
+    }
+
+    #[test]
+    fn translated_masks_partition_the_new_queue_in_enumeration_order() {
+        // Previous queue of 5: groups {0,3}, {1}, {2,4}. Position 1 leaves
+        // and an arrival joins at new position 2.
+        let mut masks = vec![0b01001, 0b00010, 0b10100];
+        masks.reserve(1);
+        let remap = |p: usize| match p {
+            1 => None,
+            2 => Some(1),
+            p => Some(p),
+        };
+        translate_masks(&mut masks, remap, Some(2));
+        // {0,3} → {0,3}; {1} gone; {2,4} → {1,4}; arrival {2}.
+        assert_eq!(masks, vec![0b01001, 0b10010, 0b00100]);
+        // A position beyond 64 bits drops the carried grouping.
+        let mut masks = vec![1 << 63];
+        translate_masks(&mut masks, |p| Some(p + 1), None);
+        assert!(masks.is_empty());
     }
 
     #[test]

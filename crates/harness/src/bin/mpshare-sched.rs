@@ -8,8 +8,16 @@
 //! ```text
 //! mpshare-sched queue.json [--priority throughput|energy|product]
 //!                          [--strategy greedy|bestfit|auto|exhaustive]
-//!                          [--gpus N] [--trace PREFIX] [--json] [--serial]
+//!                          [--gpus N] [--trace PREFIX] [--store PATH]
+//!                          [--advise] [--gantt] [--json] [--serial]
+//! mpshare-sched -h | --help
 //! ```
+//!
+//! * `--store PATH` loads cached profiles from `PATH` when it exists and
+//!   saves the store back after profiling, so a rerun profiles nothing new.
+//! * `--advise` prints the paper's §VI sharing recommendations for the
+//!   queue's profiles to stderr.
+//! * `--gantt` re-runs each planned group and prints its overlap timeline.
 //!
 //! Planning and evaluation fan out across worker threads by default;
 //! `--serial` (or `MPSHARE_SERIAL=1`) forces single-threaded execution
@@ -51,7 +59,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: mpshare-sched QUEUE.json [--priority throughput|energy|product] \
          [--strategy greedy|bestfit|auto|exhaustive] [--gpus N] [--trace PREFIX] \
-         [--advise] [--json] [--serial]"
+         [--store PATH] [--advise] [--gantt] [--json] [--serial]\n       \
+         mpshare-sched -h | --help"
     );
     std::process::exit(2);
 }
