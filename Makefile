@@ -6,13 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all vendor-test fmt clippy doc alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check clean
+.PHONY: check build test test-all vendor-test fmt clippy doc dead-pub alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check clean
 
 # The full tier-1 gate: release build, every workspace crate's tests, the
 # vendored JSON writer's differential tests, formatting, lints, rustdoc,
-# the allocation gate, the fault-, trace-, fuzz- and results smoke runs,
+# the dead-public-item gate, the allocation gate, the fault-, trace-, fuzz- and results smoke runs,
 # the benchmark digest gate, and the bench regression gate.
-check: build test-all vendor-test fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check bench-gate
+check: build test-all vendor-test fmt clippy doc dead-pub alloc-gate fault-smoke trace-smoke fuzz-smoke results-smoke perfbench-check bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -46,6 +46,22 @@ clippy:
 # build, so docs cannot keep naming items that were renamed or deleted.
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
+
+# Dead-code gate: every `pub fn|struct|enum|trait|type|const NAME` under
+# crates/*/src must have a word match for NAME in some .rs file of the
+# workspace or the benchmark besides its own definition (a use, a test or
+# a doc mention). rustc's dead-code lint cannot see unused public items,
+# so without this gate an API nothing calls stays unnoticed.
+DEAD_PUB_SOURCES := crates src tests examples perfbench
+
+dead-pub:
+	@{ find $(DEAD_PUB_SOURCES) -path '*/target' -prune -o -name '*.rs' -exec cat {} + \
+		| grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sed 's/^/word /'; \
+	  grep -rnoE '^\s*pub (const |unsafe |async )*(fn|struct|enum|trait|type|const) [A-Za-z_][A-Za-z0-9_]*' \
+		--include='*.rs' crates/*/src | sed 's/^/def /'; } \
+	| awk '$$1 == "word" { n[$$2]++; next } \
+	       n[$$NF] <= 1 { sub(/pub$$/, "", $$2); print "dead pub item: " $$2 " " $$NF; dead++ } \
+	       END { print "dead-pub: " dead + 0 " dead public items"; exit dead > 0 }'
 
 # Allocation gate (tests/alloc_gate.rs): a counting global allocator
 # proves the steady-state engine contract (zero heap allocations per

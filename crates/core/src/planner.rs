@@ -554,10 +554,6 @@ impl Planner {
     /// its solo duration minus the predicted growth of the group's
     /// makespan — is largest and positive. Only the hard constraints
     /// (memory, client cap) gate admission.
-    pub fn bestfit_with_cap(&self, profiles: &[WorkflowProfile], cap: usize) -> SchedulePlan {
-        self.bestfit_with_cap_memo(profiles, cap, &EstimateMemo::new())
-    }
-
     fn bestfit_with_cap_memo(
         &self,
         profiles: &[WorkflowProfile],

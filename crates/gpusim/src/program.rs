@@ -115,11 +115,6 @@ impl ClientProgram {
         }
     }
 
-    pub fn with_arrival(mut self, arrival: Seconds) -> Self {
-        self.arrival = arrival;
-        self
-    }
-
     pub fn push_task(&mut self, task: TaskProgram) -> &mut Self {
         self.tasks.push(task);
         self
@@ -207,11 +202,6 @@ impl ValidatedPrograms {
 
     pub fn is_empty(&self) -> bool {
         self.programs.is_empty()
-    }
-
-    /// Unseals the roster (e.g. to mutate it before re-validating).
-    pub fn into_inner(self) -> Vec<ClientProgram> {
-        self.programs
     }
 
     pub(crate) fn into_parts(self) -> (DeviceSpec, Vec<ClientProgram>) {

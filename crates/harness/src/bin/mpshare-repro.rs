@@ -7,7 +7,12 @@
 //! mpshare-repro report [--out DIR] [--serial] [--timeline-out FILE]
 //! mpshare-repro validate-obs --trace-out FILE --metrics-out FILE
 //!               [--timeline-out FILE]
+//! mpshare-repro validate-obs --engine-trace FILE
+//! mpshare-repro -h | --help
 //! ```
+//!
+//! `-h`/`--help` prints this usage to stdout and exits 0; a malformed
+//! command line prints it to stderr and exits 2.
 //!
 //! Each experiment prints its table to stdout and writes `.txt`, `.csv`,
 //! and `.json` artifacts under the output directory (default `results/`).
@@ -35,7 +40,8 @@
 //!
 //! `validate-obs` re-opens the artifacts and checks the invariants the
 //! trace-smoke gate relies on: the control tracks are present in the
-//! trace, the required metric families exist in the export, and (when
+//! trace, the engine-run, plan, plan-candidate and fault-domain-rewrite
+//! counters equal the number of trace records they count, and (when
 //! `--timeline-out` is given) the timeline export is well-formed —
 //! monotone sample times, monotone CDFs, quantile ordering
 //! p50 ≤ p90 ≤ p99 ≤ p999.
@@ -47,14 +53,16 @@
 use mpshare_gpusim::DeviceSpec;
 use mpshare_harness::experiments;
 use mpshare_harness::{write_report, write_results, Experiment};
+use mpshare_obs::{names, Track};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str = "usage: mpshare-repro <table1|table2|fig1|fig2|fig3|fig4|fig5|ext_node|ext_mechanisms|ext_powercap|ext_online|ext_hetero|ext_faults|ext_attrib|all> [--out DIR] [--serial] [--trace-out FILE] [--metrics-out FILE] [--timeline-out FILE]\n       mpshare-repro report [--out DIR] [--serial] [--timeline-out FILE]\n       mpshare-repro validate-obs --trace-out FILE --metrics-out FILE [--timeline-out FILE]\n       mpshare-repro validate-obs --engine-trace FILE\n       mpshare-repro -h | --help";
+
+/// A malformed command line: usage to stderr, exit status 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: mpshare-repro <table1|table2|fig1|fig2|fig3|fig4|fig5|ext_node|ext_mechanisms|ext_powercap|ext_online|ext_hetero|ext_faults|ext_attrib|all> [--out DIR] [--serial] [--trace-out FILE] [--metrics-out FILE] [--timeline-out FILE]\n       mpshare-repro report [--out DIR] [--serial] [--timeline-out FILE]\n       mpshare-repro validate-obs --trace-out FILE --metrics-out FILE [--timeline-out FILE]\n       mpshare-repro validate-obs --engine-trace FILE"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -92,7 +100,10 @@ fn main() -> ExitCode {
                 None => usage(),
             },
             "--serial" => mpshare_par::set_serial(true),
-            "-h" | "--help" => usage(),
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             other if which.is_none() => which = Some(other.to_string()),
             _ => usage(),
         }
@@ -254,10 +265,11 @@ fn run_report(out_dir: &std::path::Path, timeline_out: Option<PathBuf>) -> ExitC
 }
 
 /// Checks the trace and metrics artifacts a recorded run produced: the
-/// planner/scheduler/daemon tracks must be present in the trace, and the
-/// cache/fault/goodput metric families in the export. With a timeline
-/// export, additionally checks the timeline invariants (see
-/// [`validate_timeline`]).
+/// planner/scheduler/daemon tracks must be present in the trace, each
+/// counter in [`COUNTED_RECORDS`] must equal the number of trace records
+/// it counts, and the goodput/makespan families must be in the export.
+/// With a timeline export, additionally checks the timeline invariants
+/// (see [`validate_timeline`]).
 fn validate_obs(
     trace_path: &PathBuf,
     metrics_path: &PathBuf,
@@ -265,10 +277,7 @@ fn validate_obs(
 ) -> ExitCode {
     let mut failures: Vec<String> = Vec::new();
 
-    match std::fs::read_to_string(trace_path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).map_err(|e| e.to_string()))
-    {
+    let events = match read_json(trace_path) {
         Ok(trace) => {
             let events = trace
                 .get("traceEvents")
@@ -278,43 +287,52 @@ fn validate_obs(
             if events.is_empty() {
                 failures.push("trace has no traceEvents".to_string());
             }
-            for (pid, track) in [(3u64, "planner"), (4, "scheduler"), (5, "daemon")] {
+            for track in [Track::Planner, Track::Scheduler, Track::Daemon] {
+                let pid = track.pid();
                 let present = events
                     .iter()
                     .any(|e| e.get("pid").and_then(|p| p.as_u64()) == Some(pid));
                 if !present {
-                    failures.push(format!("trace is missing the {track} track (pid {pid})"));
+                    failures.push(format!(
+                        "trace is missing the {} track (pid {pid})",
+                        track.name()
+                    ));
                 }
             }
+            events
         }
-        Err(err) => failures.push(format!("cannot parse {}: {err}", trace_path.display())),
-    }
+        Err(err) => {
+            failures.push(format!("cannot parse {}: {err}", trace_path.display()));
+            Vec::new()
+        }
+    };
 
-    match std::fs::read_to_string(metrics_path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).map_err(|e| e.to_string()))
-    {
+    match read_json(metrics_path) {
         Ok(metrics) => {
-            use mpshare_obs::names;
+            for (counter, track, record) in COUNTED_RECORDS {
+                let records = events
+                    .iter()
+                    .filter(|e| {
+                        e.get("pid").and_then(|p| p.as_u64()) == Some(track.pid())
+                            && e.get("ph").and_then(|p| p.as_str()) != Some("M")
+                            && e.get("name").and_then(|n| n.as_str()) == Some(record)
+                    })
+                    .count() as u64;
+                match metrics
+                    .get("counters")
+                    .and_then(|c| c.get(counter))
+                    .and_then(|v| v.as_u64())
+                {
+                    Some(value) if value == records => {}
+                    Some(value) => failures.push(format!(
+                        "counter {counter} = {value}, but the trace has {records} {record} records"
+                    )),
+                    None => failures.push(format!("metrics export is missing counter {counter}")),
+                }
+            }
             let has = |section: &str, name: &str| {
                 metrics.get(section).and_then(|s| s.get(name)).is_some()
             };
-            for counter in [
-                names::PROFILE_CACHE_HITS,
-                names::PROFILE_CACHE_MISSES,
-                names::ESTIMATE_MEMO_HITS,
-                names::ENGINE_RUNS,
-                names::ENGINE_RATE_SOLVES,
-                names::FAULTS_INJECTED,
-                names::CLIENTS_FAILED,
-                names::SCHED_DISPATCHES,
-                names::PLAN_CALLS,
-                names::SERVER_SPAWNS,
-            ] {
-                if !has("counters", counter) {
-                    failures.push(format!("metrics export is missing counter {counter}"));
-                }
-            }
             for gauge in [names::GOODPUT, names::WASTED_ENERGY_JOULES] {
                 if !has("gauges", gauge) {
                     failures.push(format!("metrics export is missing gauge {gauge}"));
@@ -330,16 +348,33 @@ fn validate_obs(
     }
 
     if let Some(path) = timeline_path {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).map_err(|e| e.to_string()))
-        {
+        match read_json(path) {
             Ok(timeline) => validate_timeline(&timeline, &mut failures),
             Err(err) => failures.push(format!("cannot parse {}: {err}", path.display())),
         }
     }
 
     report_failures(&failures, "observability artifacts OK")
+}
+
+/// Counters that count trace records one for one: `(counter, track,
+/// record name)`. Every increment site emits exactly one record on the
+/// track, so in a recorded run's exports the two numbers must agree.
+const COUNTED_RECORDS: [(&str, Track, &str); 4] = [
+    (names::ENGINE_RUNS, Track::Daemon, "engine.run"),
+    (names::PLAN_CALLS, Track::Planner, "plan"),
+    (names::PLAN_CANDIDATES, Track::Planner, "plan.candidate"),
+    (
+        names::FAULT_DOMAIN_REWRITES,
+        Track::Daemon,
+        "daemon.fault_domain_rewrite",
+    ),
+];
+
+fn read_json(path: &PathBuf) -> Result<serde_json::Value, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
 }
 
 fn report_failures(failures: &[String], ok: &str) -> ExitCode {
@@ -363,10 +398,7 @@ fn report_failures(failures: &[String], ok: &str) -> ExitCode {
 fn validate_engine_trace(trace_path: &PathBuf) -> ExitCode {
     use serde_json::Value;
     let mut failures: Vec<String> = Vec::new();
-    let trace = match std::fs::read_to_string(trace_path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str::<Value>(&s).map_err(|e| e.to_string()))
-    {
+    let trace = match read_json(trace_path) {
         Ok(trace) => trace,
         Err(err) => {
             failures.push(format!("cannot parse {}: {err}", trace_path.display()));

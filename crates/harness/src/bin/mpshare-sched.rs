@@ -18,6 +18,8 @@
 //! * `--advise` prints the paper's §VI sharing recommendations for the
 //!   queue's profiles to stderr.
 //! * `--gantt` re-runs each planned group and prints its overlap timeline.
+//! * `-h`/`--help` prints the usage to stdout and exits 0; a malformed
+//!   command line prints it to stderr and exits 2.
 //!
 //! Planning and evaluation fan out across worker threads by default;
 //! `--serial` (or `MPSHARE_SERIAL=1`) forces single-threaded execution
@@ -55,13 +57,14 @@ struct QueueSpec {
     dependencies: Vec<[usize; 2]>,
 }
 
+const USAGE: &str = "usage: mpshare-sched QUEUE.json [--priority throughput|energy|product] \
+     [--strategy greedy|bestfit|auto|exhaustive] [--gpus N] [--trace PREFIX] \
+     [--store PATH] [--advise] [--gantt] [--json] [--serial]\n       \
+     mpshare-sched -h | --help";
+
+/// A malformed command line: usage to stderr, exit status 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: mpshare-sched QUEUE.json [--priority throughput|energy|product] \
-         [--strategy greedy|bestfit|auto|exhaustive] [--gpus N] [--trace PREFIX] \
-         [--store PATH] [--advise] [--gantt] [--json] [--serial]\n       \
-         mpshare-sched -h | --help"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -120,7 +123,10 @@ fn parse_args() -> Args {
             "--advise" => want_advice = true,
             "--gantt" => want_gantt = true,
             "--store" => store_path = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "-h" | "--help" => usage(),
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
             other if queue_path.is_none() => queue_path = Some(PathBuf::from(other)),
             _ => usage(),
         }

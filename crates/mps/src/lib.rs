@@ -1,27 +1,24 @@
 //! `mpshare-mps` — models of NVIDIA's GPU sharing mechanisms.
 //!
-//! This crate reproduces the *control plane* of the sharing mechanisms the
-//! paper evaluates (§II-B), on top of the `mpshare-gpusim` execution engine:
+//! This crate runs client programs under the sharing mechanisms the paper
+//! evaluates (§II-B), on top of the `mpshare-gpusim` execution engine. The
+//! MPS semantics live in one place, [`GpuRunner`] plus the engine: the
+//! post-Volta 48-client limit (enforced by the engine), per-client *active
+//! thread percentage* SM partitions ([`ActiveThreadPercentage`],
+//! [`GpuSharing::Mps`]), memory bandwidth shared without isolation, and no
+//! fault containment ([`FailureDomain`]).
 //!
-//! * [`daemon`] / [`server`] — the CUDA MPS architecture: one control
-//!   daemon per node, one server per GPU, one client runtime per process,
-//!   with the post-Volta 48-client limit and per-client *active thread
-//!   percentage* (SM partition) provisioning.
+//! * [`runner`] — a uniform "run these programs under this sharing
+//!   mechanism" entry point used by the profiler, scheduler, and harness.
 //! * [`timeslice`] — the default time-sliced scheduler used when MPS is
 //!   not running.
 //! * [`mig`] — Multi-Instance GPU: hardware partitioning into up to seven
-//!   isolated instances, reconfigurable only while the GPU is idle.
-//! * [`runner`] — a uniform "run these programs under this sharing
-//!   mechanism" entry point used by the profiler, scheduler, and harness.
+//!   isolated instances.
 
-pub mod daemon;
 pub mod mig;
 pub mod runner;
-pub mod server;
 pub mod timeslice;
 
-pub use daemon::{ControlDaemon, DaemonState};
 pub use mig::{MigInstance, MigLayout, MigProfile};
-pub use runner::{FailureDomain, GpuRunner, GpuSharing};
-pub use server::{ActiveThreadPercentage, ClientHandle, MpsServer};
+pub use runner::{ActiveThreadPercentage, FailureDomain, GpuRunner, GpuSharing};
 pub use timeslice::TimeSliceConfig;

@@ -176,6 +176,45 @@ pub enum FailureDomain {
     PerInstance,
 }
 
+/// An MPS *active thread percentage*: the fraction of device threads (and
+/// hence SMs) a client may use. Real MPS accepts an integer percentage in
+/// `(0, 100]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct ActiveThreadPercentage(u8);
+
+impl ActiveThreadPercentage {
+    /// The MPS default: no restriction.
+    pub const FULL: ActiveThreadPercentage = ActiveThreadPercentage(100);
+
+    pub fn new(pct: u8) -> Result<Self> {
+        if pct == 0 || pct > 100 {
+            return Err(Error::InvalidConfig(format!(
+                "active thread percentage must be in (0, 100], got {pct}"
+            )));
+        }
+        Ok(ActiveThreadPercentage(pct))
+    }
+
+    pub fn value(self) -> u8 {
+        self.0
+    }
+
+    /// Rounds a fraction up to the nearest whole percent (provisioning
+    /// granularity of `CUDA_MPS_ACTIVE_THREAD_PERCENTAGE`). Rejects
+    /// non-finite values and fractions outside `(0, 1]` instead of
+    /// silently clamping them into range.
+    pub fn from_fraction_ceil(frac: Fraction) -> Result<Self> {
+        let value = frac.value();
+        if !value.is_finite() || value <= 0.0 || value > 1.0 {
+            return Err(Error::InvalidConfig(format!(
+                "active thread fraction must be finite and in (0, 1], got {value}"
+            )));
+        }
+        let pct = (value * 100.0).ceil() as u8;
+        ActiveThreadPercentage::new(pct)
+    }
+}
+
 /// Which sharing mechanism to run under.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GpuSharing {
@@ -1064,5 +1103,48 @@ mod tests {
             )
             .unwrap();
         assert!((r.telemetry.total_time().value() - r.makespan.value()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn active_thread_percentage_validates_range() {
+        assert!(ActiveThreadPercentage::new(0).is_err());
+        assert!(ActiveThreadPercentage::new(101).is_err());
+        assert_eq!(
+            ActiveThreadPercentage::new(100).unwrap(),
+            ActiveThreadPercentage::FULL
+        );
+        assert_eq!(ActiveThreadPercentage::new(37).unwrap().value(), 37);
+    }
+
+    #[test]
+    fn from_fraction_rounds_up_to_whole_percent() {
+        let p = ActiveThreadPercentage::from_fraction_ceil(Fraction::new(0.301)).unwrap();
+        assert_eq!(p.value(), 31);
+        let p = ActiveThreadPercentage::from_fraction_ceil(Fraction::new(0.0001)).unwrap();
+        assert_eq!(p.value(), 1);
+        let p = ActiveThreadPercentage::from_fraction_ceil(Fraction::ONE).unwrap();
+        assert_eq!(p.value(), 100);
+    }
+
+    #[test]
+    fn from_fraction_rejects_out_of_range_and_non_finite() {
+        // Fraction's own constructor guards [0, 1], so zero is the
+        // reachable out-of-range input; the guard still covers the rest
+        // defensively.
+        let err = ActiveThreadPercentage::from_fraction_ceil(Fraction::ZERO).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "got {err:?}");
+        // Boundary values stay accepted.
+        assert_eq!(
+            ActiveThreadPercentage::from_fraction_ceil(Fraction::ONE)
+                .unwrap()
+                .value(),
+            100
+        );
+        assert_eq!(
+            ActiveThreadPercentage::from_fraction_ceil(Fraction::new(0.0001))
+                .unwrap()
+                .value(),
+            1
+        );
     }
 }

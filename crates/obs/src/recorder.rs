@@ -1,7 +1,7 @@
 //! The span/event recorder: structured control-plane telemetry.
 //!
 //! Every layer above the engine (planner, anneal, online scheduler, MPS
-//! daemon/server/runner, executor, harness) emits [`ObsRecord`]s into one
+//! runner, executor, harness) emits [`ObsRecord`]s into one
 //! process-wide [`Recorder`]. The design constraints, in order:
 //!
 //! * **Zero-cost when disabled.** Recording is off by default; the only
@@ -35,8 +35,8 @@ pub enum Track {
     Planner,
     /// The online dispatcher: dispatch, retry, backoff.
     Scheduler,
-    /// The MPS control plane: server spawn/reap, crashes, fault-domain
-    /// rewrites.
+    /// The MPS control plane: engine runs under each mechanism and
+    /// fault-domain rewrites.
     Daemon,
     /// Plan execution legs and harness experiment phases.
     Executor,
@@ -198,22 +198,6 @@ impl Recorder {
         out
     }
 
-    /// Copies every record without removing them (sequence-ordered).
-    pub fn snapshot(&self) -> Vec<ObsRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .expect("recorder shard poisoned")
-                    .iter()
-                    .cloned(),
-            );
-        }
-        out.sort_by_key(|r| r.seq);
-        out
-    }
-
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.shards
@@ -289,11 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_keeps_records() {
+    fn reset_clears_records() {
         let r = Recorder::new();
         r.set_enabled(true);
         r.emit(Track::Daemon, "a", None, None, || Value::Null);
-        assert_eq!(r.snapshot().len(), 1);
         assert_eq!(r.len(), 1);
         r.reset();
         assert!(r.is_empty());

@@ -2,11 +2,10 @@
 //!
 //! Hand-rolled rather than derived so the workspace stays within its
 //! declared dependency budget. The variants mirror the failure modes of the
-//! real stack: MPS admission failures, device-memory exhaustion, invalid
-//! configuration, and scheduler constraint violations.
+//! real stack: MPS admission failures, invalid configuration, and scheduler
+//! constraint violations.
 
-use crate::ids::{ClientId, GpuId, TaskId, WorkflowId};
-use crate::units::MemBytes;
+use crate::ids::GpuId;
 use std::fmt;
 
 /// Convenience alias used across the workspace.
@@ -15,28 +14,17 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Unified error type for the simulator, MPS model, and scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
-    /// An MPS server refused a new client connection (48-client limit).
+    /// A run asked for more concurrent MPS clients than the device admits
+    /// (the post-Volta 48-client limit).
     ClientLimitExceeded { gpu: GpuId, limit: usize },
-    /// A client requested more device memory than is currently free.
-    OutOfMemory {
-        gpu: GpuId,
-        requested: MemBytes,
-        available: MemBytes,
-    },
     /// A configuration value was outside its legal range.
     InvalidConfig(String),
-    /// A sharing-mode operation was attempted in the wrong state
-    /// (e.g. reconfiguring MIG while the GPU is busy).
+    /// An operation failed outside the model's own rules (e.g. reading or
+    /// writing a persisted profile store).
     InvalidState(String),
     /// The scheduler produced or was asked to execute a plan that violates
     /// a hard constraint (memory capacity, client limit, dependency order).
     PlanViolation(String),
-    /// A referenced entity does not exist.
-    UnknownClient(ClientId),
-    /// A referenced task does not exist in the queue/plan.
-    UnknownTask(TaskId),
-    /// A referenced workflow does not exist in the queue/plan.
-    UnknownWorkflow(WorkflowId),
     /// The simulation failed to make progress (all runnable kernels have a
     /// zero rate) — indicates an engine bug or an impossible allocation.
     Stalled { at_seconds: f64, detail: String },
@@ -50,20 +38,9 @@ impl fmt::Display for Error {
             Error::ClientLimitExceeded { gpu, limit } => {
                 write!(f, "{gpu}: MPS client limit of {limit} exceeded")
             }
-            Error::OutOfMemory {
-                gpu,
-                requested,
-                available,
-            } => write!(
-                f,
-                "{gpu}: out of device memory (requested {requested}, available {available})"
-            ),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::InvalidState(msg) => write!(f, "invalid state: {msg}"),
             Error::PlanViolation(msg) => write!(f, "schedule plan violates constraints: {msg}"),
-            Error::UnknownClient(id) => write!(f, "unknown client {id}"),
-            Error::UnknownTask(id) => write!(f, "unknown task {id}"),
-            Error::UnknownWorkflow(id) => write!(f, "unknown workflow {id}"),
             Error::Stalled { at_seconds, detail } => {
                 write!(f, "simulation stalled at t={at_seconds:.6}s: {detail}")
             }
@@ -82,21 +59,13 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = Error::OutOfMemory {
-            gpu: GpuId::new(0),
-            requested: MemBytes::from_mib(4096),
-            available: MemBytes::from_mib(1024),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("gpu0"));
-        assert!(msg.contains("4096MiB"));
-        assert!(msg.contains("1024MiB"));
-
         let e = Error::ClientLimitExceeded {
             gpu: GpuId::new(1),
             limit: 48,
         };
-        assert!(e.to_string().contains("48"));
+        let msg = e.to_string();
+        assert!(msg.contains("gpu1"));
+        assert!(msg.contains("48"));
     }
 
     #[test]
@@ -107,13 +76,11 @@ mod tests {
 
     #[test]
     fn errors_compare_equal_structurally() {
-        assert_eq!(
-            Error::UnknownClient(ClientId::new(2)),
-            Error::UnknownClient(ClientId::new(2))
-        );
-        assert_ne!(
-            Error::UnknownClient(ClientId::new(2)),
-            Error::UnknownClient(ClientId::new(3))
-        );
+        let limit = |gpu| Error::ClientLimitExceeded {
+            gpu: GpuId::new(gpu),
+            limit: 48,
+        };
+        assert_eq!(limit(2), limit(2));
+        assert_ne!(limit(2), limit(3));
     }
 }

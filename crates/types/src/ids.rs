@@ -45,24 +45,9 @@ define_id!(
     "gpu"
 );
 define_id!(
-    /// An MPS client (one per concurrently scheduled process).
-    ClientId,
-    "client"
-);
-define_id!(
-    /// A workflow: an ordered sequence of tasks with data dependencies.
-    WorkflowId,
-    "wf"
-);
-define_id!(
     /// A workflow task: one benchmark run (many kernels).
     TaskId,
     "task"
-);
-define_id!(
-    /// A single kernel launch within a task.
-    KernelId,
-    "kernel"
 );
 
 /// Monotonic id allocator used by builders that need fresh ids.
@@ -86,18 +71,6 @@ impl IdAllocator {
     pub fn next_task(&mut self) -> TaskId {
         TaskId::new(self.next_raw())
     }
-
-    pub fn next_workflow(&mut self) -> WorkflowId {
-        WorkflowId::new(self.next_raw())
-    }
-
-    pub fn next_client(&mut self) -> ClientId {
-        ClientId::new(self.next_raw())
-    }
-
-    pub fn next_kernel(&mut self) -> KernelId {
-        KernelId::new(self.next_raw())
-    }
 }
 
 #[cfg(test)]
@@ -108,10 +81,7 @@ mod tests {
     #[test]
     fn ids_display_with_prefix() {
         assert_eq!(GpuId::new(3).to_string(), "gpu3");
-        assert_eq!(ClientId::new(0).to_string(), "client0");
-        assert_eq!(WorkflowId::new(7).to_string(), "wf7");
         assert_eq!(TaskId::new(12).to_string(), "task12");
-        assert_eq!(KernelId::new(9).to_string(), "kernel9");
     }
 
     #[test]
@@ -129,11 +99,11 @@ mod tests {
         let mut alloc = IdAllocator::new();
         let a = alloc.next_task();
         let b = alloc.next_task();
-        let c = alloc.next_workflow();
+        let c = alloc.next_raw();
         assert_ne!(a, b);
         assert_eq!(a.raw(), 0);
         assert_eq!(b.raw(), 1);
-        assert_eq!(c.raw(), 2);
+        assert_eq!(c, 2);
     }
 
     #[test]

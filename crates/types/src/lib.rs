@@ -12,5 +12,5 @@ pub mod ids;
 pub mod units;
 
 pub use error::{Error, Result};
-pub use ids::{ClientId, GpuId, IdAllocator, KernelId, TaskId, WorkflowId};
+pub use ids::{GpuId, IdAllocator, TaskId};
 pub use units::{Energy, Fraction, MemBytes, Percent, Power, Seconds};

@@ -408,8 +408,8 @@ fn exports_match_golden_bytes() {
         ("chrome_trace", 0x0ca16a51fd9f723f, 20937),
         ("timeline to_string", 0x893f6d474b0b267f, 5929),
         ("timeline to_string_pretty", 0xc49c22557e441b83, 12088),
-        ("metrics to_string_pretty", 0x0dad7fa86791a39d, 3479),
-        ("metrics to_prometheus", 0x375cb62ff75d8137, 4864),
+        ("metrics to_string_pretty", 0x21b319803022de7d, 3351),
+        ("metrics to_prometheus", 0x96f0bc52e7cbe206, 4617),
     ];
     assert_eq!(got, pinned);
 }
